@@ -23,6 +23,8 @@ from .gammafn import gamma
 
 TwoVarFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+_TRUNCATION = 14.0  # half-length of the intertwiners' separating contour
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -198,9 +200,7 @@ def _separating_contour(t: complex, truncation: float):
     return auto_detours([(0j, "above"), (complex(t), "below")], truncation=truncation)
 
 
-def intertwiner_forward(
-    f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9, truncation: float = 14.0
-) -> complex:
+def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:
     """Multiplicity-space component
     ``F(lam,t) = (1/2pi) int_C Gamma(i t2 - i t + i lam) Gamma(-i t2 - i lam)/Gamma(-i t)
     f(t-t2,t2) dt2`` with C above the poles descending from t2 = -lam and
@@ -210,7 +210,7 @@ def intertwiner_forward(
     pole structure independent of lam (heads at u = 0 and u = t).
     """
     gt = gamma(-1j * t)
-    cont = _separating_contour(t, truncation)
+    cont = _separating_contour(t, _TRUNCATION)
 
     def integrand(u):
         return gamma(1j * (u - t)) * gamma(-1j * u) / gt * f(t - u + lam, u - lam)
@@ -218,16 +218,14 @@ def intertwiner_forward(
     return complex(integrate_contour(integrand, cont, tol=tol).value / (2 * np.pi))
 
 
-def intertwiner_inverse(
-    F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9, truncation: float = 14.0
-) -> complex:
+def intertwiner_inverse(F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9) -> complex:
     """Inverse transform
     ``f(t1,t2) = (1/2pi) int_{C'} Gamma(-i lam + i t1) Gamma(i lam + i t2)/Gamma(i t)
     F(lam, t1+t2) d lam`` with C' above the poles descending from lam = t1 and
     below those ascending from lam = -t2 (centered at mu = lam - t1)."""
     t = t1 + t2
     gt = gamma(1j * t)
-    cont = _separating_contour(-t, truncation)  # heads mu = 0 (above), mu = -t (below)
+    cont = _separating_contour(-t, _TRUNCATION)  # heads mu = 0 (above), mu = -t (below)
 
     def integrand(mu):
         lam = mu + t1
@@ -236,17 +234,11 @@ def intertwiner_inverse(
     return complex(integrate_contour(integrand, cont, tol=tol).value / (2 * np.pi))
 
 
-def intertwiner_forward_grid(
-    f: TwoVarFn,
-    lams: np.ndarray,
-    t: complex,
-    level: int = 2,
-    truncation: float = 14.0,
-) -> np.ndarray:
+def intertwiner_forward_grid(f: TwoVarFn, lams: np.ndarray, t: complex, level: int = 2) -> np.ndarray:
     """forward transform on an array of lam at fixed t, batching the
     lam-independent gamma factors over the shared centered contour."""
     lams = np.asarray(lams, dtype=complex)
-    u, wq = contour_nodes(_separating_contour(t, truncation), level=level)
+    u, wq = contour_nodes(_separating_contour(t, _TRUNCATION), level=level)
     gfac = gamma(1j * (u - t)) * gamma(-1j * u) / gamma(-1j * t) * wq
     vals = np.array([np.sum(gfac * f(t - u + l, u - l)) for l in lams])
     return vals / (2 * np.pi)

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .contours import _panels, integrate_line
 from .errors import DomainError, QuadratureError
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,6 @@ def mellin_forward(
     s,
     tol: float = 1e-10,
     strip: tuple[float, float] | None = None,
-    width: float = 7.5,
 ) -> np.ndarray | complex:
     """Mellin transform  int_0^inf x^{s-1} f(x) dx, vectorized over s.
 
@@ -169,7 +169,7 @@ def mellin_forward(
             raise DomainError(f"Re(s) outside declared analyticity strip {strip}")
     # keep e^u and e^{s u} inside double range
     res_max = max(1.0, float(np.max(np.abs(ss.real))))
-    width = min(width, float(np.arcsinh(680.0 / res_max)))
+    width = min(7.5, float(np.arcsinh(680.0 / res_max)))
     h = 0.5
     prev = None
     for _ in range(8):
@@ -200,8 +200,6 @@ def mellin_inverse(
     """Inverse Mellin transform (1/2pi) int x^{-(c+it)} phi(c+it) dt over the line Re s = c."""
     if not x > 0:
         raise DomainError("inverse Mellin evaluation point must be positive")
-    from .contours import integrate_line
-
     lx = np.log(x)
 
     def g(t):
@@ -216,13 +214,13 @@ def parseval_residual(
     f: Callable[[np.ndarray], np.ndarray],
     sigma: float,
     tol: float = 1e-10,
-    t_max: float = 60.0,
 ) -> float:
     """Residual of the Mellin-Plancherel identity on the line Re s = sigma:
 
-    ``int_0^inf |f(x)|^2 x^{2 sigma - 1} dx = (1/2pi) int |Mf(sigma+it)|^2 dt``.
+    ``int_0^inf |f(x)|^2 x^{2 sigma - 1} dx = (1/2pi) int |Mf(sigma+it)|^2 dt``,
 
-    (The weight reduces to plain |f|^2 dx at sigma = 1/2.)
+    with the right side truncated to |t| <= 60.  (The weight reduces to
+    plain |f|^2 dx at sigma = 1/2.)
     """
     width = float(np.arcsinh(340.0 / max(1.0, abs(sigma))))
     h = 0.25
@@ -242,15 +240,8 @@ def parseval_residual(
     # right side: quadrature over t with Mf evaluated in one vectorized sweep;
     # on the line the transform is a Fourier integral of f(e^u) e^{sigma u},
     # so the u-rule resolution must track the largest |t|
-    from .contours import _gl_rule
-
-    xg, wg = _gl_rule(12)
-    n_pan = int(np.ceil(2 * t_max / 0.5))
-    edges = np.linspace(-t_max, t_max, n_pan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    t_nodes = (mid[:, None] + half * xg[None, :]).ravel()
-    t_wts = np.tile(wg, n_pan) * half
+    t_nodes, half, wg = _panels(-60.0, 60.0, 240, 12)
+    t_wts = wg * half
     mf = _mellin_line_batch(f, sigma, t_nodes)
     rhs = float(np.sum(t_wts * np.abs(mf) ** 2).real / (2 * np.pi))
     return abs(lhs - rhs)
@@ -258,19 +249,12 @@ def parseval_residual(
 
 def _mellin_line_batch(f, sigma: float, t_nodes: np.ndarray) -> np.ndarray:
     """Mf(sigma + i t) on a batch of real t, by panel quadrature in u = log x."""
-    from .contours import _gl_rule
-
     t_max = float(np.max(np.abs(t_nodes)))
     u_r = min(60.0, 620.0 / max(1.0, sigma))
     u_l = 40.0 / max(0.25, sigma)
     h = min(0.5, 3.0 / max(1.0, t_max))
-    xg, wg = _gl_rule(12)
-    n_pan = int(np.ceil((u_r + u_l) / h))
-    edges = np.linspace(-u_l, u_r, n_pan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    u = (mid[:, None] + half * xg[None, :]).ravel()
-    w = np.tile(wg, n_pan) * half
+    u, half, wg = _panels(-u_l, u_r, int(np.ceil((u_r + u_l) / h)), 12)
+    w = wg * half
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         g = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(sigma * u) * w
         out = np.empty(t_nodes.shape, dtype=complex)

@@ -208,6 +208,8 @@ def _load_transform_input(path: str):
         ]
         grid = payload.get("grid", [])
         b = payload.get("b")
+        b = None if b is None else float(b)
+        tol = float(payload.get("tol", 1e-8))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"transform input schema violation: {exc}") from exc
 
@@ -217,7 +219,7 @@ def _load_transform_input(path: str):
             out += f1(u) * f2(v)
         return out
 
-    return f, grid, b, float(payload.get("tol", 1e-8))
+    return f, grid, b, tol
 
 
 def _cmd_transform(args) -> int:
@@ -226,10 +228,16 @@ def _cmd_transform(args) -> int:
     p = from_b(b) if b is not None else None
     if which == "quantum" and p is None:
         raise DomainError("quantum transform input must carry the parameter b")
+    keys = ("lam", "t") if args.direction == "forward" else ("t1", "t2")
+    try:
+        points = [tuple(float(pt[k]) for k in keys) for pt in grid]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"transform input schema violation: grid points need numeric "
+                          f"{' and '.join(keys)} ({exc!r})") from exc
     values = []
-    for pt in grid:
+    for pt in points:
         if args.direction == "forward":
-            lam, t = float(pt["lam"]), float(pt["t"])
+            lam, t = pt
             if which == "classical":
                 val = axb.intertwiner_forward(f, lam, t, tol=tol)
                 err = tol
@@ -238,14 +246,14 @@ def _cmd_transform(args) -> int:
                 err = tol
             values.append({"lam": lam, "t": t, "value": _c2j(val), "err": err})
         elif args.direction == "inverse":
-            t1, t2 = float(pt["t1"]), float(pt["t2"])
+            t1, t2 = pt
             if which == "classical":
                 val = axb.intertwiner_inverse(f, t1, t2, tol=tol)
             else:
                 val = qtransform.apply_q_inverse(f, t1, t2, p, tol=tol)
             values.append({"t1": t1, "t2": t2, "value": _c2j(val), "err": tol})
         else:  # roundtrip: forward-then-inverse against the input data
-            t1, t2 = float(pt["t1"]), float(pt["t2"])
+            t1, t2 = pt
             if which == "classical":
                 def F_of(lam, t):
                     lam = np.atleast_1d(np.asarray(lam, dtype=complex))

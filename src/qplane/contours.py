@@ -23,6 +23,8 @@ from .errors import DomainError, QuadratureError
 
 ComplexFn = Callable[[np.ndarray], np.ndarray]
 
+_GL_ORDER = 12  # Gauss-Legendre nodes per panel of a contour
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -152,77 +154,52 @@ def _pieces(contour: Contour) -> list[tuple]:
     return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
 
 
-def _eval_pieces(
-    f: ComplexFn, pieces: list[tuple], level: int, gl_order: int, max_panel: float
-) -> tuple[complex, int]:
-    """Composite GL estimate with 2**level times the base panel count."""
-    x, w = _gl_rule(gl_order)
-    nodes = []
-    weights = []
+def _panels(lo: float, hi: float, n_pan: int, order: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Composite Gauss-Legendre rule of ``n_pan`` equal panels on [lo, hi].
+
+    Returns the nodes, the panel half-width and the reference weights tiled
+    over the panels; the rule's weights are ``half * weights``.
+    """
+    x, w = _gl_rule(order)
+    edges = np.linspace(lo, hi, n_pan + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mid[:, None] + half * x[None, :]).ravel(), half, np.tile(w, n_pan)
+
+
+def _piece_nodes(pieces: list[tuple], level: int, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the pieces with 2**level times the base panel count."""
+    nodes, weights = [], []
     for p in pieces:
         if p[0] == "seg":
             _, z0, z1 = p
-            length = abs(z1 - z0)
-            n_pan = max(1, int(np.ceil(length / max_panel))) * 2**level
-            edges = np.linspace(0.0, 1.0, n_pan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            tt = (mid[:, None] + half * x[None, :]).ravel()
+            n_pan = max(1, int(np.ceil(abs(z1 - z0) / max_panel))) * 2**level
+            tt, half, w = _panels(0.0, 1.0, n_pan, _GL_ORDER)
             nodes.append(z0 + (z1 - z0) * tt)
-            weights.append(np.repeat((z1 - z0) * half, n_pan * gl_order) * np.tile(w, n_pan))
+            weights.append(np.full(w.size, (z1 - z0) * half) * w)
         else:
             _, ctr, R, th0, th1 = p
-            n_pan = 2 * 2**level
-            edges = np.linspace(th0, th1, n_pan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            th = (mid[:, None] + half * x[None, :]).ravel()
-            zz = ctr + R * np.exp(1j * th)
-            nodes.append(zz)
-            weights.append(1j * R * np.exp(1j * th) * half * np.tile(w, n_pan))
-    z = np.concatenate(nodes)
-    wt = np.concatenate(weights)
-    vals = _require_vector_fn(f, z)
-    return complex(np.sum(wt * vals)), z.size
+            th, half, w = _panels(th0, th1, 2 * 2**level, _GL_ORDER)
+            nodes.append(ctr + R * np.exp(1j * th))
+            weights.append(1j * R * np.exp(1j * th) * half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def contour_nodes(
-    contour: Contour, level: int = 0, gl_order: int = 12, max_panel: float = 0.5
+    contour: Contour, level: int = 0, max_panel: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for the contour at a fixed refinement level.
 
     ``sum(w * f(z))`` approximates the contour integral; used by transform
     routines that batch integrand evaluation over tensor grids.
     """
-    x, wq = _gl_rule(gl_order)
-    nodes, weights = [], []
-    for p in _pieces(contour):
-        if p[0] == "seg":
-            _, z0, z1 = p
-            n_pan = max(1, int(np.ceil(abs(z1 - z0) / max_panel))) * 2**level
-            edges = np.linspace(0.0, 1.0, n_pan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            tt = (mid[:, None] + half * x[None, :]).ravel()
-            nodes.append(z0 + (z1 - z0) * tt)
-            weights.append(np.full(n_pan * gl_order, (z1 - z0) * half) * np.tile(wq, n_pan))
-        else:
-            _, ctr, R, th0, th1 = p
-            n_pan = 2 * 2**level
-            edges = np.linspace(th0, th1, n_pan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            th = (mid[:, None] + half * x[None, :]).ravel()
-            nodes.append(ctr + R * np.exp(1j * th))
-            weights.append(1j * R * np.exp(1j * th) * half * np.tile(wq, n_pan))
-    return np.concatenate(nodes), np.concatenate(weights)
+    return _piece_nodes(_pieces(contour), level, max_panel)
 
 
 def integrate_contour(
     f: ComplexFn,
     contour: Contour,
     tol: float = 1e-10,
-    gl_order: int = 12,
     max_panel: float = 0.5,
     max_levels: int = 9,
 ) -> QuadResult:
@@ -237,7 +214,9 @@ def integrate_contour(
     n_evals = 0
     prev = None
     for level in range(max_levels + 1):
-        val, n = _eval_pieces(f, pieces, level, gl_order, max_panel)
+        z, wt = _piece_nodes(pieces, level, max_panel)
+        val = complex(np.sum(wt * _require_vector_fn(f, z)))
+        n = z.size
         n_evals += n
         if prev is not None:
             err = abs(val - prev)
@@ -256,10 +235,9 @@ def integrate_line(
     truncation: float,
     imag_shift: float = 0.0,
     tol: float = 1e-10,
-    **kw,
 ) -> QuadResult:
     """Straight-line special case of integrate_contour."""
-    return integrate_contour(f, Contour(imag_shift, (), truncation), tol=tol, **kw)
+    return integrate_contour(f, Contour(imag_shift, (), truncation), tol=tol)
 
 
 def residue_at(
@@ -267,19 +245,18 @@ def residue_at(
     z0: complex,
     radius: float,
     tol: float = 1e-12,
-    n_start: int = 32,
-    max_doublings: int = 8,
 ) -> complex:
     """Residue of ``f`` at ``z0`` via periodic-trapezoid quadrature on a circle.
 
-    Assumes at most a simple pole at z0 and no other singularity within the
-    radius; the caller can cross-check with a second radius.
+    Starts at 32 nodes and doubles up to 8 times.  Assumes at most a simple
+    pole at z0 and no other singularity within the radius; the caller can
+    cross-check with a second radius.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
     prev = None
-    n = n_start
-    for _ in range(max_doublings + 1):
+    n = 32
+    for _ in range(9):
         th = 2 * np.pi * np.arange(n) / n
         z = z0 + radius * np.exp(1j * th)
         vals = _require_vector_fn(f, z)
@@ -313,17 +290,14 @@ def auto_detours(
     pole_sides: Sequence[tuple[complex, str]],
     truncation: float,
     imag_shift: float = 0.0,
-    slope: float = 0.0,
-    clearance: float = 0.05,
-    radius_frac: float = 0.25,
-    max_radius: float = 0.35,
 ) -> Contour:
-    """Build a contour that passes the prescribed side of each listed pole.
+    """Build a horizontal contour that passes the prescribed side of each listed pole.
 
     A detour is inserted only when the line does not already clear the pole
-    on the required side by ``clearance``.  Radii are a fraction of the
-    smallest gap between listed poles, capped at max_radius.
+    on the required side by 0.05.  Radii are a quarter of the smallest gap
+    between listed poles, capped at 0.35.
     """
+    clearance, radius_frac, max_radius = 0.05, 0.25, 0.35
     # dedupe coincident listings; a location demanded on both sides is a pinch
     merged: list[tuple[complex, str]] = []
     for p, side in pole_sides:
@@ -345,13 +319,13 @@ def auto_detours(
     for p, side in merged:
         if abs(p.real) >= truncation:
             continue
-        off = p.imag - (imag_shift + slope * p.real)
+        off = p.imag - imag_shift
         if side == "above" and off < -clearance:
             continue  # line already safely above
         if side == "below" and off > clearance:
             continue
         dets.append(Detour(p, side, r))
-    return Contour(imag_shift, tuple(dets), truncation, slope)
+    return Contour(imag_shift, tuple(dets), truncation)
 
 
 def path_clear_of(

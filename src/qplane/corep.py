@@ -119,8 +119,7 @@ def _pairing_integrand(f, x: float, p: ModularParam, tol: float):
     return F
 
 
-def pairing(gen: str, f, x: float, p: ModularParam, tol: float = 1e-8,
-            radii: tuple[float, float] = (0.05, 0.1)) -> complex:
+def pairing(gen: str, f, x: float, p: ModularParam, tol: float = 1e-8) -> complex:
     """Action of the dual generators extracted from the coaction by residues.
 
     After centering the integration variable at x, the coaction integrand is
@@ -128,7 +127,7 @@ def pairing(gen: str, f, x: float, p: ModularParam, tol: float = 1e-8,
     the monomial A^{ix/b} B^{it}; pairing with X extracts -2 pi i e^{2 pi b x}
     times the residue at t = 0 (expected: multiplication by e^{2 pi b x}),
     pairing with Y extracts -2 pi times the residue at t = -i (expected: the
-    shift f(x - i b)).  Residues are cross-checked at the two given radii.
+    shift f(x - i b)).  Residues are cross-checked at radii 0.05 and 0.1.
     """
     if p.regime != "integral":
         raise DomainError("pairing assumes real b")
@@ -136,10 +135,10 @@ def pairing(gen: str, f, x: float, p: ModularParam, tol: float = 1e-8,
     t0 = 0j if gen == "X" else -1j
     if gen not in ("X", "Y"):
         raise ValueError(f"unknown generator {gen!r}")
-    r1 = residue_at(F, t0, radii[0])
-    r2 = residue_at(F, t0, radii[1])
+    r1 = residue_at(F, t0, 0.05)
+    r2 = residue_at(F, t0, 0.1)
     if abs(r1 - r2) > 100 * tol * max(1.0, abs(r1)):
-        raise DomainError(f"residue inconsistent across radii {radii}: {r1} vs {r2}")
+        raise DomainError(f"residue inconsistent across radii 0.05 and 0.1: {r1} vs {r2}")
     if gen == "X":
         return complex(-2j * np.pi * np.exp(2 * np.pi * p.b * x) * r2)
     return complex(-2 * np.pi * r2)

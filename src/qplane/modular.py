@@ -59,10 +59,6 @@ class ModularParam:
     def zeta_b_bar(self) -> complex:
         return np.exp(-1j * np.pi / 4 - 1j * np.pi / 12 * (self.b2 + 1.0 / self.b2))
 
-    @property
-    def chi(self) -> complex:
-        return np.pi / 24 * (self.b2 + 1.0 / self.b2)
-
     def dual(self) -> "ModularParam":
         return ModularParam(1.0 / self.b, self.regime)
 

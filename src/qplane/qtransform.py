@@ -28,6 +28,8 @@ from .qdilog import gb, gb_many
 
 from .axb import _separating_contour, classical_kernel
 
+_TRUNCATION = 6.0  # half-length of the quantum transforms' separating contour
+
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -102,16 +104,13 @@ def _check_lattice_clear(cont, t: complex, p: ModularParam):
         raise DomainError("contour too close to the pole lattice (increase spacing)")
 
 
-def _forward_contour(t: complex, truncation: float, p: ModularParam):
-    cont = _separating_contour(t, truncation)
+def _forward_contour(t: complex, p: ModularParam):
+    cont = _separating_contour(t, _TRUNCATION)
     _check_lattice_clear(cont, t, p)
     return cont
 
 
-def apply_q_forward(
-    f, lam: complex, t: complex, p: ModularParam, tol: float = 1e-8,
-    truncation: float = 6.0,
-) -> complex:
+def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1e-8) -> complex:
     """Forward quantum transform
 
     ``phi(lam,t) = int_C G_b(i t2 - i t + i lam) G_b(-i t2 - i lam)/G_b(-i t)
@@ -123,7 +122,7 @@ def apply_q_forward(
     be entire with rapid decay on horizontal lines (class W), vectorized.
     """
     gt = gb(-1j * t, p, tol).value
-    cont = _forward_contour(t, truncation, p)
+    cont = _forward_contour(t, p)
 
     def integrand(u):
         lamv = lam
@@ -134,10 +133,7 @@ def apply_q_forward(
     return complex(integrate_contour(integrand, cont, tol=tol, max_panel=0.25).value)
 
 
-def apply_q_inverse(
-    phi, t1: complex, t2: complex, p: ModularParam, tol: float = 1e-8,
-    truncation: float = 6.0,
-) -> complex:
+def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float = 1e-8) -> complex:
     """Inverse quantum transform
 
     ``f(t1,t2) = int_{C'} G_b(-i lam + i t1) G_b(i lam + i t2)/G_b(i t)
@@ -149,7 +145,7 @@ def apply_q_inverse(
     """
     t = t1 + t2
     gt = gb(1j * t, p, tol).value
-    cont = _forward_contour(-t, truncation, p)
+    cont = _forward_contour(-t, p)
 
     def integrand(mu):
         lam = mu + t1
@@ -161,8 +157,7 @@ def apply_q_inverse(
 
 
 def q_roundtrip(
-    f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9,
-    truncation: float = 6.0, level: int = 1,
+    f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9, level: int = 1,
 ) -> complex:
     """inverse(forward(f)) at (t1,t2) as one tensor quadrature.
 
@@ -170,34 +165,21 @@ def q_roundtrip(
     the lam-dependence enters only through entire phases and f.
     """
     t = t1 + t2
-    cont_u = _forward_contour(t, truncation, p)
-    cont_mu = _forward_contour(-t, truncation, p)
-    u, wu = contour_nodes(cont_u, level=level, max_panel=0.25)
-    mu, wm = contour_nodes(cont_mu, level=level, max_panel=0.25)
-    gt_f = gb(-1j * t, p, tol).value
-    gt_i = gb(1j * t, p, tol).value
-    gu = gb_many(1j * (u - t), p, tol, refine=False) \
-        * gb_many(-1j * u, p, tol, refine=False) / gt_f * wu
+    mu, wm = contour_nodes(_forward_contour(-t, p), level=level, max_panel=0.25)
     gm = gb_many(-1j * mu, p, tol, refine=False) \
-        * gb_many(1j * (mu + t), p, tol, refine=False) / gt_i * wm
-
+        * gb_many(1j * (mu + t), p, tol, refine=False) / gb(1j * t, p, tol).value * wm
     lam = mu + t1  # outer integration variable
-    # forward phase at (lam_j, u_k) and inner f values
-    phase_f = np.exp(1j * np.pi * np.multiply.outer(lam, 2 * u - 2 * t)
-                     - 1j * np.pi * lam[:, None] ** 2)
-    fv = f(t - u[None, :] + lam[:, None], u[None, :] - lam[:, None])
-    phi = (phase_f * fv * gu[None, :]).sum(axis=1)
+    phi = q_forward_grid(f, lam, t, p, tol, level=level)
     phase_i = np.exp(1j * np.pi * lam * (lam + 2 * t2)) * np.exp(-2j * np.pi * t1 * t2)
     return complex(np.sum(gm * phase_i * phi))
 
 
 def q_forward_grid(
-    f, lams: np.ndarray, t: complex, p: ModularParam, tol: float = 1e-9,
-    truncation: float = 6.0, level: int = 1,
+    f, lams: np.ndarray, t: complex, p: ModularParam, tol: float = 1e-9, level: int = 1,
 ) -> np.ndarray:
-    """Forward transform on an array of real lam at fixed t (one G_b sweep)."""
+    """Forward transform on an array of lam at fixed t (one G_b sweep)."""
     lams = np.asarray(lams, dtype=complex)
-    cont = _forward_contour(t, truncation, p)
+    cont = _forward_contour(t, p)
     u, wu = contour_nodes(cont, level=level, max_panel=0.25)
     gu = gb_many(1j * (u - t), p, tol, refine=False) \
         * gb_many(-1j * u, p, tol, refine=False) \

@@ -53,33 +53,6 @@ def _identity_grid(p: ModularParam) -> np.ndarray:
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
-def _identity_residuals(kind: str, xs: np.ndarray, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
-    """Vectorized form of qdilog.verify_identity over a grid."""
-    Q = p.Q
-    if kind == "functional_b":
-        lhs = qd.gb_many(xs + p.b, p, tol)
-        rhs = (1 - np.exp(2j * np.pi * p.b * xs)) * qd.gb_many(xs, p, tol)
-    elif kind == "functional_binv":
-        lhs = qd.gb_many(xs + 1 / p.b, p, tol)
-        rhs = (1 - np.exp(2j * np.pi * xs / p.b)) * qd.gb_many(xs, p, tol)
-    elif kind == "reflection":
-        lhs = qd.gb_many(xs, p, tol) * qd.gb_many(Q - xs, p, tol)
-        rhs = np.exp(1j * np.pi * xs * (xs - Q))
-    elif kind == "conjugation":
-        xb = np.conj(xs)
-        if p.regime == "integral":
-            lhs = np.conj(qd.gb_many(xs, p, tol))
-        else:
-            lhs = np.exp(1j * np.pi * xb * (Q - xb)) * qd.gb_many(xb, p, tol)
-        rhs = 1.0 / qd.gb_many(Q - xb, p, tol)
-    elif kind == "selfduality":
-        lhs = qd.gb_many(xs, p, tol)
-        rhs = qd.gb_many(xs, p.dual(), tol)
-    else:
-        raise ValueError(kind)
-    return np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-
-
 def suite_gb_identities(tol: float = 1e-8, seed: int = 0) -> list[dict]:
     out = []
     params = [("b=0.7", from_b(0.7)), ("b=0.9", from_b(0.9)),
@@ -90,7 +63,7 @@ def suite_gb_identities(tol: float = 1e-8, seed: int = 0) -> list[dict]:
         if p.regime == "integral":
             kinds.append("selfduality")
         for kind in kinds:
-            res = float(np.max(_identity_residuals(kind, xs, p)))
+            res = float(np.max(qd.verify_identity(kind, xs, p)))
             out.append(_rec(f"identity/{kind}", label, res, tol))
     # unimodularity on the symmetric line
     p = from_b(0.8)

@@ -145,6 +145,18 @@ def test_transform_schema_violation(tmp_path):
     code, _, _ = run_cli("transform", "--which", "classical", "--direction", "forward",
                          "--input", str(bad), "--output", str(tmp_path / "o.json"))
     assert code == 2
+    # grid points carry (t1, t2), not the (lam, t) a forward transform needs
+    code, _, err = run_cli("transform", "--which", "classical", "--direction", "forward",
+                           "--input", str(DATA / "gaussian_pair.json"),
+                           "--output", str(tmp_path / "o.json"))
+    assert code == 2
+    assert "schema violation" in err
+    src = json.loads((DATA / "gaussian_pair.json").read_text())
+    src["tol"] = "tight"
+    bad.write_text(json.dumps(src))
+    code, _, _ = run_cli("transform", "--which", "quantum", "--direction", "inverse",
+                         "--input", str(bad), "--output", str(tmp_path / "o.json"))
+    assert code == 2
 
 
 def test_transform_empty_grid(tmp_path):

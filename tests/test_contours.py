@@ -7,6 +7,7 @@ from qplane.contours import (
     Contour,
     Detour,
     auto_detours,
+    contour_nodes,
     integrate_contour,
     integrate_line,
     residue_at,
@@ -106,3 +107,18 @@ def test_contour_value_radius_independent():
         vals.append(integrate_contour(lambda z: np.exp(-z * z) / z, cont, tol=1e-11).value)
     assert abs(vals[0] - vals[1]) < 1e-10
     assert abs(vals[1] - vals[2]) < 1e-10
+
+
+def test_integrate_contour_is_the_contour_nodes_rule():
+    # segments, an arc on the line, and an off-line pole with vertical legs
+    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
+    f = lambda z: np.exp(-z * z) / (z * (z - 1.0 - 0.3j))
+    res = integrate_contour(f, cont, tol=1e-10)
+    # n_evals sums the node counts of levels 0..L, where L is the stopping level
+    total, level = 0, 0
+    while total < res.n_evals:
+        z, w = contour_nodes(cont, level=level)
+        total += z.size
+        level += 1
+    assert total == res.n_evals and level >= 2
+    assert res.value == complex(np.sum(w * f(z)))

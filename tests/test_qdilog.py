@@ -115,6 +115,14 @@ def test_identities_spot():
     p = from_b2(0.3 + 0.4j)
     for kind in ("functional_b", "functional_binv", "reflection", "conjugation"):
         assert qd.verify_identity(kind, 0.4 + 0.1j, p) < 1e-8
+    # an array gives elementwise residuals that match the scalar calls to
+    # quadrature accuracy (the integral backend sizes its y-grid per batch)
+    xs = np.array([0.3 + 0.2j, 0.6 - 0.4j, P07.Q / 2])
+    for kind, pp in (("reflection", P07), ("selfduality", P07),
+                     ("functional_binv", p), ("conjugation", p)):
+        vec = qd.verify_identity(kind, xs, pp)
+        assert vec.shape == xs.shape
+        assert np.allclose(vec, [qd.verify_identity(kind, x, pp) for x in xs], rtol=0, atol=1e-10)
 
 
 def test_unimodularity_on_symmetric_line():
@@ -174,8 +182,10 @@ def test_qbinomial_coeffs_symbolic():
 
 
 def test_qbinomial_residue_content():
-    for n in range(1, 6):
-        assert qd.qbinom_residue_check(n, P08) < 1e-8
+    # b = 0.9 puts -5b and -4/b within 0.06 of each other
+    for p in (P08, from_b(0.9)):
+        for n in range(1, 6):
+            assert qd.qbinom_residue_check(n, p) < 1e-8
 
 
 def test_fb_reduction_to_tau_beta():
