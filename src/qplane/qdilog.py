@@ -3,8 +3,11 @@
 Two backends realize the same meromorphic function:
 
 * infinite product (Im b^2 > 0), truncated by explicit geometric tail bounds;
-* one-dimensional integral representation (b real), with functional-equation
-  continuation out of the convergence strip.
+* one-dimensional integral representation (b real), by the trapezoid rule on
+  a y-grid that is halved, reusing every node, until two levels agree to tol
+  (geometric convergence: the integrand is analytic in the strip
+  |Im y| < pi min(b, 1/b, 1)), with functional-equation continuation out of
+  the convergence strip.
 
 On top of the evaluator sit the identity residuals (functional equations,
 reflection, conjugation, self-duality), residue checks, the beta-integral
@@ -22,7 +25,6 @@ import numpy as np
 from .contours import (
     Contour,
     Detour,
-    _panels,
     auto_detours,
     integrate_contour,
     integrate_line,
@@ -33,6 +35,8 @@ from .gammafn import gamma
 from .modular import ModularParam, from_r
 
 _POLE_FACTOR_EPS = 1e-12
+_MAX_HALVINGS = 5  # trapezoid step halvings per |Re z| band of the integral backend
+_SINH2_CUTOFF = 20.0  # y beyond which the sinh^-2 subtraction (~4 e^{-2y}) is dropped
 
 
 @dataclass(frozen=True)
@@ -99,16 +103,19 @@ def _gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.nda
 # conversion G_b(w) = e^{-i pi z^2/2} e^{-i pi Q^2/8} G(z) with z = i(w - Q/2)
 
 
-def _g_line_integral(
-    z: np.ndarray, b: float, tol: float, refine: bool = True
-) -> tuple[np.ndarray, float]:
+def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, float]:
     """I(z) = int_0^inf [sin(2yz)/(2 sinh(by) sinh(y/b)) - z/y] dy/y, vectorized.
 
-    Series handles the removable singularity on [0, y0]; the power tail
-    -z/Y of the subtraction term is added analytically.  Arguments are
-    binned by |Re z| so slowly oscillating ones get a coarse y-grid; with
-    refine=False the halved-step verification pass is skipped (used by
-    kernel sweeps whose accuracy is pinned by dedicated tests).
+    Computed as int_0^inf [sin(2yz)/(2y sinh(by) sinh(y/b)) - z/sinh^2 y] dy - z,
+    since int_0^inf (1/y^2 - 1/sinh^2 y) dy = 1.  The bracket is even and
+    analytic for |Im y| < d = pi min(b, 1/b, 1), equals z(1/3 - k2 - 2z^2/3)
+    at y = 0 with k2 = (b^2 + b^-2)/6, and decays like e^{-(Q - 2|Im z|) y}
+    (its sinh^-2 term like e^{-2y}); so the trapezoid rule on
+    y = k h converges geometrically in 1/h (Trefethen-Weideman).  Arguments
+    are binned by |Re z|; each band starts from the step at which the
+    aliasing bound e^{-d(2 pi/h - 2|Re z|)} reaches min(tol, 1e-3) and halves h, reusing
+    every node, until |T(h/2) - T(h)| <= tol or _MAX_HALVINGS is reached.
+    Returns the values and the largest such difference as the error estimate.
     """
     Q = b + 1.0 / b
     flat = z.ravel()
@@ -116,33 +123,22 @@ def _g_line_integral(
     rho = Q - 2 * im_max
     if rho < 0.15:
         raise DomainError("argument too close to the strip boundary |Im z| = Q/2")
-    y0 = 1e-3
     Y = min(250.0, max(12.0, np.log(1.0 / min(tol / 10.0, 1e-13)) / rho))
-
     k2 = (b**2 + b**-2) / 6.0
-    k4 = (b**4 + b**-4) / 120.0 + 1.0 / 36.0
-    k6 = (b**6 + b**-6) / 5040.0 + (b**2 + b**-2) / 720.0
+    d = np.pi * min(b, 1.0 / b, 1.0)
 
-    def series_part(zz):
-        s2 = -(2.0 / 3.0) * zz**2
-        s4 = (2.0 / 15.0) * zz**4
-        s6 = -(4.0 / 315.0) * zz**6
-        c0 = zz * (s2 - k2)
-        c2 = zz * (s4 - s2 * k2 + k2**2 - k4)
-        c4 = zz * (s6 - s4 * k2 + s2 * (k2**2 - k4) - k2**3 + 2 * k2 * k4 - k6)
-        return c0 * y0 + c2 * y0**3 / 3.0 + c4 * y0**5 / 5.0
-
-    def quad_part(zz, step):
-        y, half, wg = _panels(y0, Y, int(np.ceil((Y - y0) / step)), 16)
-        w = wg * half
-        pref = w / (2j * y * 2.0 * np.sinh(b * y) * np.sinh(y / b))
-        wy2 = w / y**2
+    def node_sum(zz, h, n, n_sub, step):
+        # bracket summed over y = k h, k = 1, 1 + step, ...; the z-independent
+        # sinh^-2 term (decay e^{-2y}) runs to n_sub >= n nodes
+        y = h * np.arange(1, n + 1, step)
+        pref = 1.0 / (2j * y * 2.0 * np.sinh(b * y) * np.sinh(y / b))
+        sub = float(np.sum(np.sinh(h * np.arange(1, n_sub + 1, step)) ** -2.0))
         out = np.empty(zz.shape, dtype=complex)
         chunk = max(16, int(3e6 / y.size))
         for i0 in range(0, zz.size, chunk):
             zc = zz[i0:i0 + chunk]
             E = np.exp(2j * np.outer(y, zc))
-            out[i0:i0 + chunk] = pref @ (E - 1.0 / E) - wy2.sum() * zc
+            out[i0:i0 + chunk] = pref @ (E - 1.0 / E) - sub * zc
         return out
 
     total = np.empty(flat.shape, dtype=complex)
@@ -154,20 +150,23 @@ def _g_line_integral(
         if not sel.any():
             continue
         zb = flat[sel]
-        freq = 2.0 * float(np.max(np.abs(zb.real)))
-        h = min(0.35, 3.0 / max(1.0, freq))
-        I2 = quad_part(zb, h / 2.0)
-        if refine:
-            I1 = quad_part(zb, h)
-            err = max(err, float(np.max(np.abs(I2 - I1))))
-        total[sel] = I2
-    total = series_part(flat) + total - flat / Y
-    return total.reshape(z.shape), err
+        h = 2.0 * np.pi / (2.0 * float(np.max(re_abs[sel])) + np.log(1.0 / min(tol, 1e-3)) / d)
+        n = int(np.ceil(Y / h))
+        n_sub = max(n, int(np.ceil(_SINH2_CUTOFF / h)))
+        T = h * (0.5 * zb * (1.0 / 3.0 - k2 - 2.0 * zb**2 / 3.0) + node_sum(zb, h, n, n_sub, 1))
+        for _ in range(_MAX_HALVINGS):
+            h, n, n_sub = h / 2.0, 2 * n, 2 * n_sub
+            T_half = 0.5 * T + h * node_sum(zb, h, n, n_sub, 2)
+            est = float(np.max(np.abs(T_half - T)))
+            T = T_half
+            if est <= tol:
+                break
+        err = max(err, est)
+        total[sel] = T
+    return (total - flat).reshape(z.shape), err
 
 
-def _gb_integral_many(
-    w: np.ndarray, p: ModularParam, tol: float, refine: bool = True
-) -> tuple[np.ndarray, float, bool]:
+def _gb_integral_many(w: np.ndarray, p: ModularParam, tol: float) -> tuple[np.ndarray, float, bool]:
     """G_b on arbitrary arguments for real b, via shifts into the base window.
 
     Returns (values, err, shifted) where shifted reports whether any
@@ -197,24 +196,20 @@ def _gb_integral_many(
         mult[mask] = mult[mask] * (1.0 - np.exp(2j * np.pi * b * (flat[mask] - j * b)))
     wsh = flat + k * b
     z = 1j * (wsh - Q / 2.0)
-    I, err = _g_line_integral(z, b, tol, refine=refine)
+    I, err = _g_line_integral(z, b, tol)
     G = np.exp(1j * I)
     gb_base = np.exp(-0.5j * np.pi * z**2) * np.exp(-1j * np.pi * Q**2 / 8.0) * G
     vals = gb_base * mult / corr
     return vals.reshape(w.shape), err, bool(kmax > 0 or kmin < 0)
 
 
-def gb_many(x, p: ModularParam, tol: float = 1e-10, refine: bool = True) -> np.ndarray:
-    """Vectorized G_b(x); the workhorse behind every kernel evaluation.
-
-    refine=False skips the halved-step verification pass in the integral
-    backend (kernel sweeps validated by dedicated accuracy tests).
-    """
+def gb_many(x, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
+    """Vectorized G_b(x); the workhorse behind every kernel evaluation."""
     xx = np.atleast_1d(np.asarray(x, dtype=complex))
     if p.regime == "product":
         vals, _ = _gb_product_many(xx, p, tol)
     else:
-        vals, _, _ = _gb_integral_many(xx, p, tol, refine=refine)
+        vals, _, _ = _gb_integral_many(xx, p, tol)
     return vals
 
 

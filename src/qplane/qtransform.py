@@ -166,8 +166,8 @@ def q_roundtrip(
     """
     t = t1 + t2
     mu, wm = contour_nodes(_forward_contour(-t, p), level=level, max_panel=0.25)
-    gm = gb_many(-1j * mu, p, tol, refine=False) \
-        * gb_many(1j * (mu + t), p, tol, refine=False) / gb(1j * t, p, tol).value * wm
+    gm = gb_many(-1j * mu, p, tol) \
+        * gb_many(1j * (mu + t), p, tol) / gb(1j * t, p, tol).value * wm
     lam = mu + t1  # outer integration variable
     phi = q_forward_grid(f, lam, t, p, tol, level=level)
     phase_i = np.exp(1j * np.pi * lam * (lam + 2 * t2)) * np.exp(-2j * np.pi * t1 * t2)
@@ -181,8 +181,7 @@ def q_forward_grid(
     lams = np.asarray(lams, dtype=complex)
     cont = _forward_contour(t, p)
     u, wu = contour_nodes(cont, level=level, max_panel=0.25)
-    gu = gb_many(1j * (u - t), p, tol, refine=False) \
-        * gb_many(-1j * u, p, tol, refine=False) \
+    gu = gb_many(1j * (u - t), p, tol) * gb_many(-1j * u, p, tol) \
         / gb(-1j * t, p, tol).value * wu
     phase = np.exp(1j * np.pi * np.multiply.outer(lams, 2 * u - 2 * t)
                    - 1j * np.pi * lams[:, None] ** 2)
