@@ -13,7 +13,7 @@ appropriate limit, from the quantum-dilogarithm kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -200,6 +200,67 @@ def _separating_contour(t: complex, truncation: float):
     return auto_detours([(0j, "above"), (complex(t), "below")], truncation=truncation)
 
 
+class _Kernel(NamedTuple):
+    """A kernel family of the separating-contour transforms, in the centered
+    variable whose pole ladders head at 0 (contour above) and s (below):
+    u = t2 + lam with s = t forward, mu = lam - t1 with s = -t inverse."""
+
+    weight: Callable  # s -> (u -> K(i u - i s) K(-i u) / K(-i s)), lam-independent
+    contour: Callable  # s -> the separating contour
+    max_panel: float
+    scale: float = 1.0  # the transform is the contour integral / scale
+    forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
+    inverse_phase: Callable | None = None  # (lam, t1, t2) -> the entire lam-phase
+
+
+def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int | None = None):
+    """``int weight(u) phase f(t - u + lam, u - lam) du / scale``: adaptive at one
+    lam for ``level=None``, else on the nodes of ``level`` for an array of lam,
+    the weight evaluated once and contracted one lam at a time."""
+
+    def term(u, g, lam):
+        if kernel.forward_phase:
+            g = g * kernel.forward_phase(lam, u, t)
+        return g * f(t - u + lam, u - lam)
+
+    if level is None:
+        weight = kernel.weight(t)
+        return complex(integrate_contour(lambda u: term(u, weight(u), lam), kernel.contour(t),
+                                         tol=tol, max_panel=kernel.max_panel).value / kernel.scale)
+    u, wq = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
+    g = kernel.weight(t)(u) * wq
+    return np.array([np.sum(term(u, g, l)) for l in np.asarray(lam, dtype=complex)]) / kernel.scale
+
+
+def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None = None) -> complex:
+    """``int weight(mu) phase F(mu + t1, t) d mu / scale`` at t = t1 + t2 (a
+    scalar in F): adaptive for ``level=None``, else on the nodes of ``level``."""
+    t = t1 + t2
+
+    def term(mu, g):
+        lam = mu + t1
+        if kernel.inverse_phase:
+            g = g * kernel.inverse_phase(lam, t1, t2)
+        return g * F(lam, t)
+
+    if level is None:
+        weight = kernel.weight(-t)
+        val = integrate_contour(lambda mu: term(mu, weight(mu)), kernel.contour(-t),
+                                tol=tol, max_panel=kernel.max_panel).value
+    else:
+        mu, wq = contour_nodes(kernel.contour(-t), level=level, max_panel=kernel.max_panel)
+        val = np.sum(term(mu, kernel.weight(-t)(mu) * wq))
+    return complex(val / kernel.scale)
+
+
+def _gamma_weight(s: complex):
+    gs = gamma(-1j * s)
+    return lambda u: gamma(1j * (u - s)) * gamma(-1j * u) / gs
+
+
+_GAMMA = _Kernel(_gamma_weight, lambda s: _separating_contour(s, _TRUNCATION), 0.5, 2 * np.pi)
+
+
 def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:
     """Multiplicity-space component
     ``F(lam,t) = (1/2pi) int_C Gamma(i t2 - i t + i lam) Gamma(-i t2 - i lam)/Gamma(-i t)
@@ -209,36 +270,25 @@ def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9
     Evaluated in the centered variable u = t2 + lam, which makes the kernel's
     pole structure independent of lam (heads at u = 0 and u = t).
     """
-    gt = gamma(-1j * t)
-    cont = _separating_contour(t, _TRUNCATION)
-
-    def integrand(u):
-        return gamma(1j * (u - t)) * gamma(-1j * u) / gt * f(t - u + lam, u - lam)
-
-    return complex(integrate_contour(integrand, cont, tol=tol).value / (2 * np.pi))
+    return _forward(_GAMMA, f, lam, t, tol)
 
 
 def intertwiner_inverse(F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9) -> complex:
     """Inverse transform
     ``f(t1,t2) = (1/2pi) int_{C'} Gamma(-i lam + i t1) Gamma(i lam + i t2)/Gamma(i t)
     F(lam, t1+t2) d lam`` with C' above the poles descending from lam = t1 and
-    below those ascending from lam = -t2 (centered at mu = lam - t1)."""
-    t = t1 + t2
-    gt = gamma(1j * t)
-    cont = _separating_contour(-t, _TRUNCATION)  # heads mu = 0 (above), mu = -t (below)
-
-    def integrand(mu):
-        lam = mu + t1
-        return gamma(-1j * mu) * gamma(1j * (mu + t)) / gt * F(lam, t + 0 * mu)
-
-    return complex(integrate_contour(integrand, cont, tol=tol).value / (2 * np.pi))
+    below those ascending from lam = -t2 (centered at mu = lam - t1).  F takes
+    an array of lam and the scalar t."""
+    return _inverse(_GAMMA, F, t1, t2, tol)
 
 
 def intertwiner_forward_grid(f: TwoVarFn, lams: np.ndarray, t: complex, level: int = 2) -> np.ndarray:
-    """forward transform on an array of lam at fixed t, batching the
-    lam-independent gamma factors over the shared centered contour."""
-    lams = np.asarray(lams, dtype=complex)
-    u, wq = contour_nodes(_separating_contour(t, _TRUNCATION), level=level)
-    gfac = gamma(1j * (u - t)) * gamma(-1j * u) / gamma(-1j * t) * wq
-    vals = np.array([np.sum(gfac * f(t - u + l, u - l)) for l in lams])
-    return vals / (2 * np.pi)
+    """forward transform on an array of lam at fixed t, on the fixed nodes of
+    ``level`` with the gamma factors evaluated once."""
+    return _forward(_GAMMA, f, lams, t, level=level)
+
+
+def intertwiner_roundtrip(f: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9) -> complex:
+    """inverse(forward(f)) at (t1, t2): the adaptive inverse over the level-2
+    forward grid; equals f(t1, t2) up to quadrature error."""
+    return intertwiner_inverse(lambda lam, t: intertwiner_forward_grid(f, lam, t), t1, t2, tol)

@@ -234,38 +234,23 @@ def _cmd_transform(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"transform input schema violation: grid points need numeric "
                           f"{' and '.join(keys)} ({exc!r})") from exc
+    entry = {
+        ("classical", "forward"): lambda x, y: axb.intertwiner_forward(f, x, y, tol=tol),
+        ("classical", "inverse"): lambda x, y: axb.intertwiner_inverse(f, x, y, tol=tol),
+        ("classical", "roundtrip"): lambda x, y: axb.intertwiner_roundtrip(f, x, y, tol=tol),
+        ("quantum", "forward"): lambda x, y: qtransform.apply_q_forward(f, x, y, p, tol=tol),
+        ("quantum", "inverse"): lambda x, y: qtransform.apply_q_inverse(f, x, y, p, tol=tol),
+        ("quantum", "roundtrip"): lambda x, y: qtransform.q_roundtrip(f, x, y, p, tol=tol),
+    }[which, args.direction]
     values = []
-    for pt in points:
-        if args.direction == "forward":
-            lam, t = pt
-            if which == "classical":
-                val = axb.intertwiner_forward(f, lam, t, tol=tol)
-                err = tol
-            else:
-                val = qtransform.apply_q_forward(f, lam, t, p, tol=tol)
-                err = tol
-            values.append({"lam": lam, "t": t, "value": _c2j(val), "err": err})
-        elif args.direction == "inverse":
-            t1, t2 = pt
-            if which == "classical":
-                val = axb.intertwiner_inverse(f, t1, t2, tol=tol)
-            else:
-                val = qtransform.apply_q_inverse(f, t1, t2, p, tol=tol)
-            values.append({"t1": t1, "t2": t2, "value": _c2j(val), "err": tol})
-        else:  # roundtrip: forward-then-inverse against the input data
-            t1, t2 = pt
-            if which == "classical":
-                def F_of(lam, t):
-                    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-                    return axb.intertwiner_forward_grid(f, lam, complex(np.asarray(t).ravel()[0]))
-                val = axb.intertwiner_inverse(F_of, t1, t2, tol=tol)
-            else:
-                val = qtransform.q_roundtrip(f, t1, t2, p, tol=tol)
-            ref = complex(f(np.asarray(t1), np.asarray(t2)))
-            values.append({
-                "t1": t1, "t2": t2, "value": _c2j(val),
-                "roundtrip_error": float(abs(val - ref)),
-            })
+    for x, y in points:
+        val = entry(x, y)
+        rec = {keys[0]: x, keys[1]: y, "value": _c2j(val)}
+        if args.direction == "roundtrip":  # forward-then-inverse against the input data
+            rec["roundtrip_error"] = float(abs(val - complex(f(np.asarray(x), np.asarray(y)))))
+        else:
+            rec["err"] = tol
+        values.append(rec)
     payload = {"which": which, "direction": args.direction, "values": values}
     text = json.dumps(payload, sort_keys=True)
     with open(args.output, "w") as fh:

@@ -10,23 +10,22 @@ Kernel families:
 * the Fourier-picture reduced kernels ``F_floor_star``/``F_ceil_star``
   applied as one-dimensional contour transforms.
 
-The applied transforms are evaluated in a centered variable (u = t2 + lam
-forward, mu = lam - t1 inverse) in which the quantum-dilogarithm factors do
-not depend on the spectator parameter; nested round trips then batch into
-tensor quadrature with a single vectorized G_b sweep per contour.
+The applied transforms are ``axb``'s separating-contour transforms with the
+G_b kernel family in place of the gamma one, toward which it tends as q -> 1.
+In the centered variable (u = t2 + lam forward, mu = lam - t1 inverse) the
+G_b factors do not depend on lam: fixed-node grids and round trips take one
+G_b sweep per contour and contract it one lam at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .contours import contour_nodes, integrate_contour, path_clear_of
+from .axb import _forward, _inverse, _Kernel, _separating_contour, classical_kernel
+from .contours import path_clear_of
 from .errors import DomainError
-from .gammafn import gamma
 from .modular import ModularParam, from_r
 from .qdilog import gb, gb_many
-
-from .axb import _separating_contour, classical_kernel
 
 _TRUNCATION = 6.0  # half-length of the quantum transforms' separating contour
 
@@ -96,18 +95,28 @@ def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
 # applied transforms
 
 
-def _check_lattice_clear(cont, t: complex, p: ModularParam):
-    # nearest off-head lattice points of the two pole ladders
-    step = min(abs(p.b), abs(1 / p.b))
-    pts = [0 - 1j * step, complex(t) + 1j * step]
-    if not path_clear_of(cont, pts, 0.5 * step):
-        raise DomainError("contour too close to the pole lattice (increase spacing)")
+def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
+    """The G_b kernel family at p, G_b evaluated to tol; the separating contour
+    must clear the pole lattice by half its spacing."""
 
+    def weight(s):
+        gs = gb(-1j * s, p, tol).value
+        return lambda u: gb_many(1j * (u - s), p, tol) * gb_many(-1j * u, p, tol) / gs
 
-def _forward_contour(t: complex, p: ModularParam):
-    cont = _separating_contour(t, _TRUNCATION)
-    _check_lattice_clear(cont, t, p)
-    return cont
+    def contour(s):
+        cont = _separating_contour(s, _TRUNCATION)
+        # nearest off-head lattice points of the two pole ladders
+        step = min(abs(p.b), abs(1 / p.b))
+        if not path_clear_of(cont, [0 - 1j * step, complex(s) + 1j * step], 0.5 * step):
+            raise DomainError("contour too close to the pole lattice (increase spacing)")
+        return cont
+
+    return _Kernel(
+        weight, contour, max_panel=0.25,
+        forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
+        inverse_phase=lambda lam, t1, t2: np.exp(1j * np.pi * lam * (lam + 2 * t2))
+        * np.exp(-2j * np.pi * t1 * t2),
+    )
 
 
 def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1e-8) -> complex:
@@ -121,16 +130,7 @@ def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1
     the G_b factors depend only on u and t (heads at u = 0 and u = t); f must
     be entire with rapid decay on horizontal lines (class W), vectorized.
     """
-    gt = gb(-1j * t, p, tol).value
-    cont = _forward_contour(t, p)
-
-    def integrand(u):
-        lamv = lam
-        phase = np.exp(1j * np.pi * lamv * (2 * u - 2 * t - lamv))
-        return gb_many(1j * (u - t), p, tol) * gb_many(-1j * u, p, tol) / gt \
-            * phase * f(t - u + lamv, u - lamv)
-
-    return complex(integrate_contour(integrand, cont, tol=tol, max_panel=0.25).value)
+    return _forward(_gb_kernel(p, tol), f, lam, t, tol)
 
 
 def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float = 1e-8) -> complex:
@@ -141,52 +141,26 @@ def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float =
 
     with C' above the ladder descending from lam = t1 and below the one
     ascending from lam = -t2 (centered at mu = lam - t1).  phi must accept
-    complex lam arrays (it is analytic; the forward transform provides this).
+    complex lam arrays and the scalar t (it is analytic; the forward transform
+    provides this).
     """
-    t = t1 + t2
-    gt = gb(1j * t, p, tol).value
-    cont = _forward_contour(-t, p)
-
-    def integrand(mu):
-        lam = mu + t1
-        phase = np.exp(1j * np.pi * lam * (lam + 2 * t2)) * np.exp(-2j * np.pi * t1 * t2)
-        return gb_many(-1j * mu, p, tol) * gb_many(1j * (mu + t), p, tol) / gt \
-            * phase * phi(lam, t)
-
-    return complex(integrate_contour(integrand, cont, tol=tol, max_panel=0.25).value)
+    return _inverse(_gb_kernel(p, tol), phi, t1, t2, tol)
 
 
 def q_roundtrip(
     f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9, level: int = 1,
 ) -> complex:
-    """inverse(forward(f)) at (t1,t2) as one tensor quadrature.
-
-    Both contours are centered, so each needs a single vectorized G_b sweep;
-    the lam-dependence enters only through entire phases and f.
-    """
-    t = t1 + t2
-    mu, wm = contour_nodes(_forward_contour(-t, p), level=level, max_panel=0.25)
-    gm = gb_many(-1j * mu, p, tol) \
-        * gb_many(1j * (mu + t), p, tol) / gb(1j * t, p, tol).value * wm
-    lam = mu + t1  # outer integration variable
-    phi = q_forward_grid(f, lam, t, p, tol, level=level)
-    phase_i = np.exp(1j * np.pi * lam * (lam + 2 * t2)) * np.exp(-2j * np.pi * t1 * t2)
-    return complex(np.sum(gm * phase_i * phi))
+    """inverse(forward(f)) at (t1,t2), both on the fixed nodes of ``level``:
+    the inverse's nodes are the lam array of one forward grid."""
+    return _inverse(_gb_kernel(p, tol), lambda lam, t: q_forward_grid(f, lam, t, p, tol, level),
+                    t1, t2, level=level)
 
 
 def q_forward_grid(
     f, lams: np.ndarray, t: complex, p: ModularParam, tol: float = 1e-9, level: int = 1,
 ) -> np.ndarray:
     """Forward transform on an array of lam at fixed t (one G_b sweep)."""
-    lams = np.asarray(lams, dtype=complex)
-    cont = _forward_contour(t, p)
-    u, wu = contour_nodes(cont, level=level, max_panel=0.25)
-    gu = gb_many(1j * (u - t), p, tol) * gb_many(-1j * u, p, tol) \
-        / gb(-1j * t, p, tol).value * wu
-    phase = np.exp(1j * np.pi * np.multiply.outer(lams, 2 * u - 2 * t)
-                   - 1j * np.pi * lams[:, None] ** 2)
-    fv = f(t - u[None, :] + lams[:, None], u[None, :] - lams[:, None])
-    return (phase * fv * gu[None, :]).sum(axis=1)
+    return _forward(_gb_kernel(p, tol), f, lams, t, level=level)
 
 
 # ---------------------------------------------------------------------------

@@ -251,33 +251,35 @@ def _decompose_norm_residual(case: str) -> float:
 
 
 def classical_intertwiner_checks(tol: float = 1e-3) -> list[dict]:
-    out = []
     fw = lambda t1, t2: np.exp(-t1**2 - t2**2)
+    return [
+        _roundtrip_rec("intertwiner round trip",
+                       lambda t1, t2: axb.intertwiner_roundtrip(fw, t1, t2, tol=1e-8), fw, tol),
+        _norm_box_rec("intertwiner norm preservation", axb.intertwiner_forward_grid, fw, 5.0, tol),
+        # equivariance: transform (R+ x R+)(g) = (1 x R+)(g) transform
+        _rec("intertwiner equivariance", "g=(1.3,0.4)",
+             _equivariance_residual(axb.GroupElement(1.3, 0.4)), tol),
+    ]
 
-    def F_of(lam, t):
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        tt = complex(np.asarray(t).ravel()[0])
-        return axb.intertwiner_forward_grid(fw, lam, tt, level=2)
 
+def _roundtrip_rec(name: str, roundtrip, f, tol: float) -> dict:
+    """Worst |roundtrip(t1, t2) - f(t1, t2)| over the 9-point grid."""
     worst = 0.0
     for t1 in (0.3, 0.6, 0.9):
         for t2 in (0.4, 0.7, 1.0):
-            rt = axb.intertwiner_inverse(F_of, t1, t2, tol=1e-8)
-            worst = max(worst, abs(rt - fw(t1, t2)))
-    out.append(_rec("intertwiner round trip", "9-point grid", worst, tol))
-    # norm preservation on a truncated grid
+            worst = max(worst, abs(roundtrip(t1, t2) - f(t1, t2)))
+    return _rec(name, "9-point grid", worst, tol)
+
+
+def _norm_box_rec(name: str, grid, f, L: float, tol: float) -> dict:
+    """Relative L^2-norm change of f under ``grid(f, lams, t)`` on the GL48 box [-L, L]^2."""
     gl = np.polynomial.legendre.leggauss(48)
-    L = 5.0
     nodes, wts = L * gl[0], L * gl[1]
-    norm_f = np.sum(np.abs(fw(nodes[:, None], nodes[None, :])) ** 2 * np.outer(wts, wts))
-    rows = np.array([axb.intertwiner_forward_grid(fw, nodes, t, level=2) for t in nodes])
-    norm_F = np.sum(np.abs(rows.T) ** 2 * np.outer(wts, wts))
-    out.append(_rec("intertwiner norm preservation", "box L=5",
-                    abs(norm_F - norm_f) / norm_f, tol))
-    # equivariance: transform (R+ x R+)(g) = (1 x R+)(g) transform
-    out.append(_rec("intertwiner equivariance", "g=(1.3,0.4)",
-                    _equivariance_residual(axb.GroupElement(1.3, 0.4)), tol))
-    return out
+    ww = np.outer(wts, wts)
+    norm_f = np.sum(np.abs(f(nodes[:, None], nodes[None, :])) ** 2 * ww)
+    rows = np.array([grid(f, nodes, t) for t in nodes])
+    norm_F = np.sum(np.abs(rows.T) ** 2 * ww)
+    return _rec(name, f"box L={L:g}", abs(norm_F - norm_f) / norm_f, tol)
 
 
 def _equivariance_residual(g: axb.GroupElement) -> float:
@@ -346,22 +348,10 @@ def suite_q_intertwiner(tol: float = 1e-3, seed: int = 0) -> list[dict]:
     # decay in lam
     big = qtransform.apply_q_forward(f1, 8.0, 0.5, p8)
     out.append(_rec("decay at |lam| = 8", "Gaussian input", abs(big), 1e-6))
-    # round trip on the 9-point grid
-    worst = 0.0
-    for t1 in (0.3, 0.6, 0.9):
-        for t2 in (0.4, 0.7, 1.0):
-            rt = qtransform.q_roundtrip(f1, t1, t2, p8)
-            worst = max(worst, abs(rt - f1(t1, t2)))
-    out.append(_rec("quantum round trip", "9-point grid", worst, tol))
-    # Parseval-type norm comparison on a truncated grid
-    gl = np.polynomial.legendre.leggauss(48)
-    L = 4.5
-    nodes, wts = L * gl[0], L * gl[1]
-    norm_f = np.sum(np.abs(f1(nodes[:, None], nodes[None, :])) ** 2 * np.outer(wts, wts))
-    rows = np.array([qtransform.q_forward_grid(f1, nodes, t, p8) for t in nodes])
-    norm_phi = np.sum(np.abs(rows.T) ** 2 * np.outer(wts, wts))
-    out.append(_rec("quantum norm preservation", "box L=4.5",
-                    abs(norm_phi - norm_f) / norm_f, tol))
+    out.append(_roundtrip_rec("quantum round trip",
+                              lambda t1, t2: qtransform.q_roundtrip(f1, t1, t2, p8), f1, tol))
+    out.append(_norm_box_rec("quantum norm preservation",
+                             lambda f, lams, t: qtransform.q_forward_grid(f, lams, t, p8), f1, 4.5, tol))
     # kernel classical limit: strictly decreasing on the 3x3x3 grid, small at r=1e-3
     grid = [(l, a, b) for l in (0.3, 0.5, 0.7) for a in (0.8, 1.0, 1.2) for b in (1.3, 1.5, 1.7)]
     ok = True

@@ -129,14 +129,23 @@ def test_transform_classical_matches_fixture(tmp_path):
         assert abs(g["value"]["im"] - e["value"]["im"]) < 1e-9
 
 
-def test_transform_quantum_roundtrip(tmp_path):
+def _roundtrip_values(tmp_path, which):
     out_json = tmp_path / "rt.json"
-    code, _, _ = run_cli("transform", "--which", "quantum", "--direction", "roundtrip",
+    code, _, _ = run_cli("transform", "--which", which, "--direction", "roundtrip",
                          "--input", str(DATA / "gaussian_pair.json"),
                          "--output", str(out_json))
     assert code == 0
-    got = json.loads(out_json.read_text())
-    assert all(v["roundtrip_error"] < 1e-3 for v in got["values"])
+    return json.loads(out_json.read_text())["values"]
+
+
+def test_transform_quantum_roundtrip(tmp_path):
+    assert all(v["roundtrip_error"] < 1e-3 for v in _roundtrip_values(tmp_path, "quantum"))
+
+
+def test_transform_classical_roundtrip(tmp_path):
+    values = _roundtrip_values(tmp_path, "classical")
+    assert [(v["t1"], v["t2"]) for v in values] == [(0.4, 0.6), (0.3, 0.9)]
+    assert all(v["roundtrip_error"] < 1e-3 for v in values)
 
 
 def test_transform_schema_violation(tmp_path):

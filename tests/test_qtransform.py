@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,11 +67,20 @@ def test_roundtrip_single_point():
     assert abs(rt - GAUSS(0.4, 0.6)) < 1e-9
 
 
-def test_inverse_via_forward_callable():
-    def phi(lam, t):
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return qt.q_forward_grid(GAUSS, lam, complex(np.asarray(t).ravel()[0]), P08)
+def test_roundtrip_memory_stays_per_lambda():
+    # the forward grid is contracted one lam at a time, never as a
+    # (lam nodes) x (u nodes) tensor (about 100 MB when it was)
+    tracemalloc.start()
+    try:
+        qt.q_roundtrip(GAUSS, 0.4, 0.6, P08)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
+
+def test_inverse_via_forward_callable():
+    phi = lambda lam, t: qt.q_forward_grid(GAUSS, lam, t, P08)
     v = qt.apply_q_inverse(phi, 0.4, 0.6, P08, tol=1e-7)
     assert abs(v - GAUSS(0.4, 0.6)) < 1e-6
 
