@@ -182,16 +182,7 @@ def classical_kernel(kind: str, lam: float, t1: float, t2: float) -> complex:
 
     with t = t1 + t2; ceil is the complex conjugate of floor for real input.
     """
-    t = t1 + t2
-    if kind == "floor":
-        return complex(
-            gamma(1j * (lam - t1)) * gamma(-1j * (t2 + lam)) / gamma(-1j * t) / (2 * np.pi)
-        )
-    if kind == "ceil":
-        return complex(
-            gamma(-1j * (lam - t1)) * gamma(1j * (t2 + lam)) / gamma(1j * t) / (2 * np.pi)
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    return _GAMMA.point(kind, lam, t1, t2)
 
 
 def _separating_contour(t: complex, truncation: float):
@@ -201,22 +192,61 @@ def _separating_contour(t: complex, truncation: float):
 
 
 class _Kernel(NamedTuple):
-    """A kernel family of the separating-contour transforms, in the centered
-    variable whose pole ladders head at 0 (contour above) and s (below):
-    u = t2 + lam with s = t forward, mu = lam - t1 with s = -t inverse."""
+    """A kernel family K of the separating-contour transforms.  In the
+    centered variable whose pole ladders head at 0 (contour above) and s
+    (below) -- u = t2 + lam with s = t forward, mu = lam - t1 with s = -t
+    inverse -- the lam-independent weight is K(i u - i s) K(-i u) / K(-i s)."""
 
-    weight: Callable  # s -> (u -> K(i u - i s) K(-i u) / K(-i s)), lam-independent
+    pair: Callable  # (x, y) -> K(i x) K(-i y), vectorized
+    norm: Callable  # s -> K(-i s)
     contour: Callable  # s -> the separating contour
     max_panel: float
     scale: float = 1.0  # the transform is the contour integral / scale
     forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
     inverse_phase: Callable | None = None  # (lam, t1, t2) -> the entire lam-phase
 
+    def weight(self, s):
+        """u -> K(i u - i s) K(-i u) / K(-i s), the norm evaluated once."""
+        norm = self.norm(s)
+        return lambda u: self.pair(u - s, u) / norm
+
+    def point(self, kind: str, lam, t1, t2) -> complex:
+        """The forward ('floor') or inverse ('ceil') kernel at one point, t = t1 + t2:
+
+        floor: K(i lam - i t1) K(-i t2 - i lam) / K(-i t) times the forward phase,
+        ceil:  K(i t2 + i lam) K(-i lam + i t1) / K(i t) times the inverse phase,
+
+        over scale.  The arguments are formed as lam - t1 and t2 + lam, not
+        from the centered variable, so the floor/ceil symmetries hold exactly.
+        """
+        t = t1 + t2
+        if kind == "floor":
+            val = self.pair(lam - t1, t2 + lam) / self.norm(t)
+            if self.forward_phase:
+                val = val * self.forward_phase(lam, t2 + lam, t)
+        elif kind == "ceil":
+            val = self.pair(t2 + lam, lam - t1) / self.norm(-t)
+            if self.inverse_phase:
+                val = val * self.inverse_phase(lam, t1, t2)
+        else:
+            raise DomainError(f"unknown kernel kind {kind!r}")
+        return complex(np.squeeze(val / self.scale))
+
+
+def _adaptive(kernel: _Kernel, term: Callable, s: complex, tol):
+    """``int term(v, weight(v)) dv / scale`` on the contour of s by adaptive
+    quadrature: the value and the quadrature's error estimate, both / scale."""
+    weight = kernel.weight(s)
+    res = integrate_contour(lambda v: term(v, weight(v)), kernel.contour(s),
+                            tol=tol, max_panel=kernel.max_panel)
+    return complex(res.value / kernel.scale), res.err_estimate / kernel.scale
+
 
 def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int | None = None):
     """``int weight(u) phase f(t - u + lam, u - lam) du / scale``: adaptive at one
-    lam for ``level=None``, else on the nodes of ``level`` for an array of lam,
-    the weight evaluated once and contracted one lam at a time."""
+    lam for ``level=None``, returning (value, error estimate); else on the
+    nodes of ``level`` for an array of lam, the weight evaluated once and
+    contracted one lam at a time."""
 
     def term(u, g, lam):
         if kernel.forward_phase:
@@ -224,17 +254,16 @@ def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int
         return g * f(t - u + lam, u - lam)
 
     if level is None:
-        weight = kernel.weight(t)
-        return complex(integrate_contour(lambda u: term(u, weight(u), lam), kernel.contour(t),
-                                         tol=tol, max_panel=kernel.max_panel).value / kernel.scale)
+        return _adaptive(kernel, lambda u, g: term(u, g, lam), t, tol)
     u, wq = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
     g = kernel.weight(t)(u) * wq
     return np.array([np.sum(term(u, g, l)) for l in np.asarray(lam, dtype=complex)]) / kernel.scale
 
 
-def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None = None) -> complex:
+def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None = None):
     """``int weight(mu) phase F(mu + t1, t) d mu / scale`` at t = t1 + t2 (a
-    scalar in F): adaptive for ``level=None``, else on the nodes of ``level``."""
+    scalar in F): adaptive for ``level=None``, returning (value, error
+    estimate); else the value on the nodes of ``level``."""
     t = t1 + t2
 
     def term(mu, g):
@@ -244,21 +273,13 @@ def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None =
         return g * F(lam, t)
 
     if level is None:
-        weight = kernel.weight(-t)
-        val = integrate_contour(lambda mu: term(mu, weight(mu)), kernel.contour(-t),
-                                tol=tol, max_panel=kernel.max_panel).value
-    else:
-        mu, wq = contour_nodes(kernel.contour(-t), level=level, max_panel=kernel.max_panel)
-        val = np.sum(term(mu, kernel.weight(-t)(mu) * wq))
-    return complex(val / kernel.scale)
+        return _adaptive(kernel, term, -t, tol)
+    mu, wq = contour_nodes(kernel.contour(-t), level=level, max_panel=kernel.max_panel)
+    return complex(np.sum(term(mu, kernel.weight(-t)(mu) * wq)) / kernel.scale)
 
 
-def _gamma_weight(s: complex):
-    gs = gamma(-1j * s)
-    return lambda u: gamma(1j * (u - s)) * gamma(-1j * u) / gs
-
-
-_GAMMA = _Kernel(_gamma_weight, lambda s: _separating_contour(s, _TRUNCATION), 0.5, 2 * np.pi)
+_GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y), lambda s: gamma(-1j * s),
+                 lambda s: _separating_contour(s, _TRUNCATION), 0.5, 2 * np.pi)
 
 
 def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:
@@ -270,7 +291,7 @@ def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9
     Evaluated in the centered variable u = t2 + lam, which makes the kernel's
     pole structure independent of lam (heads at u = 0 and u = t).
     """
-    return _forward(_GAMMA, f, lam, t, tol)
+    return _forward(_GAMMA, f, lam, t, tol)[0]
 
 
 def intertwiner_inverse(F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9) -> complex:
@@ -279,7 +300,7 @@ def intertwiner_inverse(F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9
     F(lam, t1+t2) d lam`` with C' above the poles descending from lam = t1 and
     below those ascending from lam = -t2 (centered at mu = lam - t1).  F takes
     an array of lam and the scalar t."""
-    return _inverse(_GAMMA, F, t1, t2, tol)
+    return _inverse(_GAMMA, F, t1, t2, tol)[0]
 
 
 def intertwiner_forward_grid(f: TwoVarFn, lams: np.ndarray, t: complex, level: int = 2) -> np.ndarray:

@@ -29,6 +29,10 @@ USAGE_EXIT = 64
 DOMAIN_EXIT = 2
 
 
+class _UsageError(Exception):
+    """A well-formed command line with the wrong number of values."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -83,6 +87,11 @@ def _emit(payload, args) -> None:
 # eval
 
 
+# values each function takes; qkernel's position-picture kinds take four
+_ARITY = {"gamma": 1, "gb": 1, "sb": 1, "gb_small": 1, "veta": 1, "ruijsenaars_g": 1,
+          "fb": 4, "hyp2f1": 4, "ckernel": 3, "qkernel": 3, "coaction-kernel": 2}
+
+
 def _cmd_eval(args) -> int:
     p = _parse_param(args)
     vals = [parse_complex(t, p) for t in args.args]
@@ -90,6 +99,11 @@ def _cmd_eval(args) -> int:
     fn = args.function
     backend = "closed-form"
     err = 0.0
+    if fn not in _ARITY:
+        raise DomainError(f"unknown function {fn!r}")
+    n_vals = 4 if fn == "qkernel" and args.kind in qtransform._POSITION_KINDS else _ARITY[fn]
+    if len(vals) != n_vals:
+        raise _UsageError(f"{fn} takes {n_vals} value(s), got {len(vals)}")
     needs_param = {"gb", "sb", "gb_small", "veta", "ruijsenaars_g", "fb",
                    "qkernel", "coaction-kernel"}
     if fn in needs_param and p is None:
@@ -108,13 +122,11 @@ def _cmd_eval(args) -> int:
         value = hyp2f1_contour(vals[0], vals[1], vals[2], vals[3], tol)
         backend = "contour"
     elif fn == "ckernel":
-        value = axb.classical_kernel(args.kind or "floor", *[v.real for v in vals[:3]])
+        value = axb.classical_kernel(args.kind or "floor", *[v.real for v in vals])
     elif fn == "qkernel":
         value = qtransform.q_kernel(args.kind or "F_floor_star", vals, p, tol)
-    elif fn == "coaction-kernel":
-        value, mono = corep.coaction_kernel(vals[0].real, vals[1].real, p, tol)
     else:
-        raise DomainError(f"unknown function {fn!r}")
+        value, _ = corep.coaction_kernel(vals[0].real, vals[1].real, p, tol)
     record = {
         "function": fn,
         "args": [_c2j(v) for v in vals],
@@ -199,9 +211,9 @@ def _term_from_json(obj: dict) -> WTerm:
 
 
 def _load_transform_input(path: str):
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         pairs = [
             (ClassWFunction((_term_from_json(t["f1"]),)), ClassWFunction((_term_from_json(t["f2"]),)))
             for t in payload["terms"]
@@ -234,22 +246,18 @@ def _cmd_transform(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"transform input schema violation: grid points need numeric "
                           f"{' and '.join(keys)} ({exc!r})") from exc
-    entry = {
-        ("classical", "forward"): lambda x, y: axb.intertwiner_forward(f, x, y, tol=tol),
-        ("classical", "inverse"): lambda x, y: axb.intertwiner_inverse(f, x, y, tol=tol),
-        ("classical", "roundtrip"): lambda x, y: axb.intertwiner_roundtrip(f, x, y, tol=tol),
-        ("quantum", "forward"): lambda x, y: qtransform.apply_q_forward(f, x, y, p, tol=tol),
-        ("quantum", "inverse"): lambda x, y: qtransform.apply_q_inverse(f, x, y, p, tol=tol),
-        ("quantum", "roundtrip"): lambda x, y: qtransform.q_roundtrip(f, x, y, p, tol=tol),
-    }[which, args.direction]
+    kernel = axb._GAMMA if which == "classical" else qtransform._gb_kernel(p, tol)
     values = []
     for x, y in points:
-        val = entry(x, y)
-        rec = {keys[0]: x, keys[1]: y, "value": _c2j(val)}
+        rec = {keys[0]: x, keys[1]: y}
         if args.direction == "roundtrip":  # forward-then-inverse against the input data
+            val = (axb.intertwiner_roundtrip(f, x, y, tol=tol) if which == "classical"
+                   else qtransform.q_roundtrip(f, x, y, p, tol=tol))
             rec["roundtrip_error"] = float(abs(val - complex(f(np.asarray(x), np.asarray(y)))))
-        else:
-            rec["err"] = tol
+        else:  # the adaptive primitives, which also return the quadrature's error estimate
+            primitive = axb._forward if args.direction == "forward" else axb._inverse
+            val, rec["err"] = primitive(kernel, f, x, y, tol)
+        rec["value"] = _c2j(val)
         values.append(rec)
     payload = {"which": which, "direction": args.direction, "values": values}
     text = json.dumps(payload, sort_keys=True)
@@ -309,7 +317,7 @@ def main(argv=None) -> int:
     except (DomainError, QuadratureError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return DOMAIN_EXIT
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

@@ -7,6 +7,12 @@ reduces to an exact identity of the scalar kernels, the pairing with the
 dual generators reduces to residues of the kernel in its integration
 variable, and the classical limit of the scalar kernel is the gamma kernel
 of the unitary representation R+ of the ax+b group.
+
+All four are written on one vectorized kernel in variables rescaled by b,
+``G_b(i b (x-z)) e^{pi Q b (z-x)} (2 sin pi b^2)^{-i (x-z)}``: the coaction
+kernel is it at (x/b, t/b), the corepresentation identity is a product of
+three of its values, the pairing integrand is it along the residue circles,
+and the classical limit is b times it at b^2 = i r.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contours import residue_at
+from .contours import residue_consistent
 from .errors import DomainError
 from .gammafn import gamma
 from .modular import ModularParam, from_r
@@ -41,9 +47,17 @@ class NormalOrderedMonomial:
         )
 
 
-def _sin_pib2(p: ModularParam) -> complex:
-    s = 2.0 * np.sin(np.pi * p.b2)
-    return complex(s)
+def _scaled_coaction_kernel(x, z, p: ModularParam, tol: float = 1e-10):
+    """The coaction kernel with its variables rescaled by b, vectorized:
+
+    ``K(x,z) = G_b(i b (x-z)) e^{pi Q b (z-x)} (2 sin pi b^2)^{-i (x-z)}``
+
+    (the one place the powers of 2 sin(pi b^2) are formed).  A scalar x - z
+    gives a complex, an array an array."""
+    d = np.asarray(x - z)
+    val = gb_many(1j * p.b * d, p, tol) * np.exp(-np.pi * p.Q * p.b * d) \
+        * complex(2.0 * np.sin(np.pi * p.b2)) ** (-1j * d)
+    return complex(val[0]) if d.ndim == 0 else val
 
 
 def coaction_kernel(x: float, t: float, p: ModularParam,
@@ -51,29 +65,17 @@ def coaction_kernel(x: float, t: float, p: ModularParam,
     """Scalar coefficient and monomial of the coaction integrand at (x, t):
 
     ``e^{pi Q (t-x)} G_b(i x - i t) (2 sin pi b^2)^{-i (x-t)/b}
-      * A^{i x/b} B^{i (t-x)/b}``.
+      * A^{i x/b} B^{i (t-x)/b}``,
 
-    For real b the power of the positive base 2 sin(pi b^2) is unimodular.
+    the rescaled kernel at (x/b, t/b).  For real b the power of the positive
+    base 2 sin(pi b^2) is unimodular.
     """
     if p.regime != "integral":
         raise DomainError("the semigroup coaction kernel assumes real b")
     if abs(x - t) < 1e-12:
         raise DomainError("kernel pole at t = x (the contour passes above it)")
-    scalar = (
-        np.exp(np.pi * p.Q * (t - x))
-        * gb(1j * (x - t), p, tol).value
-        * _sin_pib2(p) ** (-1j * (x - t) / p.b)
-    )
-    return complex(scalar), NormalOrderedMonomial(complex(x), complex(t - x))
-
-
-def _scaled_coaction_kernel(x, z, p: ModularParam, tol: float = 1e-10) -> complex:
-    # variables rescaled by b: K(x,z) = G_b(ib(x-z)) e^{pi Q b (z-x)} s^{-i(x-z)}
-    return complex(
-        gb(1j * p.b * (x - z), p, tol).value
-        * np.exp(np.pi * p.Q * p.b * (z - x))
-        * _sin_pib2(p) ** (-1j * (x - z))
-    )
+    scalar = _scaled_coaction_kernel(x / p.b, t / p.b, p, tol)
+    return scalar, NormalOrderedMonomial(complex(x), complex(t - x))
 
 
 def coproduct_kernel(x: float, w: float, z: float, p: ModularParam,
@@ -108,40 +110,30 @@ def corep_axiom_residual(x: float, w: float, z: float, p: ModularParam,
 # pairing with the dual generators
 
 
-def _pairing_integrand(f, x: float, p: ModularParam, tol: float):
-    b = p.b
-    s2 = _sin_pib2(p)
-
-    def F(t):
-        return b * f(x + b * t) * gb_many(-1j * b * t, p, tol) \
-            * np.exp(np.pi * p.Q * b * t) * s2 ** (1j * t)
-
-    return F
-
-
 def pairing(gen: str, f, x: float, p: ModularParam, tol: float = 1e-8) -> complex:
     """Action of the dual generators extracted from the coaction by residues.
 
     After centering the integration variable at x, the coaction integrand is
-    ``F(t) = b f(x+bt) G_b(-i b t) e^{pi Q b t} (2 sin pi b^2)^{i t}`` times
-    the monomial A^{ix/b} B^{it}; pairing with X extracts -2 pi i e^{2 pi b x}
-    times the residue at t = 0 (expected: multiplication by e^{2 pi b x}),
-    pairing with Y extracts -2 pi times the residue at t = -i (expected: the
-    shift f(x - i b)).  Residues are cross-checked at radii 0.05 and 0.1.
+    ``F(t) = b f(x+bt) G_b(-i b t) e^{pi Q b t} (2 sin pi b^2)^{i t}`` (b f(x+bt)
+    times the rescaled kernel at (0, t)) times the monomial A^{ix/b} B^{it};
+    pairing with X extracts -2 pi i e^{2 pi b x} times the residue at t = 0
+    (expected: multiplication by e^{2 pi b x}), pairing with Y extracts -2 pi
+    times the residue at t = -i (expected: the shift f(x - i b)).  Residues
+    are cross-checked at radii 0.1 and 0.05; the 0.05 one is used.
     """
     if p.regime != "integral":
         raise DomainError("pairing assumes real b")
-    F = _pairing_integrand(f, x, p, tol)
-    t0 = 0j if gen == "X" else -1j
     if gen not in ("X", "Y"):
-        raise ValueError(f"unknown generator {gen!r}")
-    r1 = residue_at(F, t0, 0.05)
-    r2 = residue_at(F, t0, 0.1)
-    if abs(r1 - r2) > 100 * tol * max(1.0, abs(r1)):
-        raise DomainError(f"residue inconsistent across radii 0.05 and 0.1: {r1} vs {r2}")
+        raise DomainError(f"unknown generator {gen!r}")
+    b = p.b
+
+    def F(t):
+        return b * f(x + b * t) * _scaled_coaction_kernel(0.0, t, p, tol)
+
+    res = residue_consistent(F, 0j if gen == "X" else -1j, 0.1, tol=100 * tol)
     if gen == "X":
-        return complex(-2j * np.pi * np.exp(2 * np.pi * p.b * x) * r2)
-    return complex(-2 * np.pi * r2)
+        return complex(-2j * np.pi * np.exp(2 * np.pi * b * x) * res)
+    return complex(-2 * np.pi * res)
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +152,12 @@ def coaction_limit_residual(x: float, z: float, r: float, variant: str = "V",
     if abs(x - z) < 1e-9:
         raise DomainError("kernel pole at x = z")
     p = from_r(r)
-    b, Q = p.b, p.Q
-    s = 2.0 * np.sin(np.pi * p.b2)  # = 2 i sinh(pi r) on the limit schedule
-
-    def scaled(xx, zz):
-        return (
-            b
-            * gb(1j * b * (xx - zz), p, tol).value
-            * np.exp(np.pi * Q * b * (zz - xx))
-            * np.exp(1j * (zz - xx) * np.log(complex(s)))
-        )
-
     if variant == "V":
-        quantum = scaled(x, z)
+        quantum = p.b * _scaled_coaction_kernel(x, z, p, tol)
         target = gamma(1j * (x - z)) / (2 * np.pi) * np.exp((1j * (z - x)) * np.log(-1j))
     elif variant == "Vstar":
-        quantum = np.conj(scaled(z, x))
+        quantum = np.conj(p.b * _scaled_coaction_kernel(z, x, p, tol))
         target = gamma(1j * (x - z)) / (2 * np.pi) * np.exp((1j * (z - x)) * np.log(1j))
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise DomainError(f"unknown variant {variant!r}")
     return float(abs(quantum - target))

@@ -353,20 +353,20 @@ def verify_identity(kind: str, x, p: ModularParam, tol: float = 1e-10) -> float 
     return float(res[0]) if xs.ndim == 0 else res
 
 
+def _lattice_gap(lattice: np.ndarray, z0: complex) -> float:
+    """Distance from z0 to the nearest lattice point other than z0 itself."""
+    gaps = np.abs(lattice - z0)
+    return float(np.min(gaps[gaps > 1e-12]))
+
+
 def residue_check(n: int, m: int, p: ModularParam, tol: float = 1e-9) -> float:
     """Residue of 1/G_b(Q+z) at z = n b + m/b against the closed q-product form
     ``-(1/2 pi) prod_{k<=n}(1-q^{2k})^{-1} prod_{l<=m}(1-qtilde^{-2l})^{-1}``."""
     if n < 0 or m < 0:
         raise DomainError("residue lattice indices must be non-negative")
     z0 = n * p.b + m / p.b
-    lattice = np.array([
-        nn * p.b + mm / p.b
-        for nn in range(0, n + 3)
-        for mm in range(0, m + 3)
-        if (nn, mm) != (n, m)
-    ])
-    gap = float(np.min(np.abs(lattice - z0)))
-    radius = 0.3 * gap
+    # the poles of 1/G_b(Q+z) are the pole lattice of G_b negated
+    radius = 0.3 * _lattice_gap(-gb_pole_lattice(p, n + 2, m + 2), z0)
 
     def f(z):
         return 1.0 / gb_many(p.Q + z, p, tol)
@@ -388,10 +388,7 @@ def gb_residue_at_pole(N: int, p: ModularParam, tol: float = 1e-10) -> complex:
         z0 = 0.0 + 0j
     else:
         z0 = -N * p.b
-    lattice = gb_pole_lattice(p, n_max=N + 3, m_max=N + 3)
-    gaps = np.abs(lattice - z0)
-    gap = float(np.min(gaps[gaps > 1e-12]))
-    radius = min(0.3 * gap, 0.2)
+    radius = min(0.3 * _lattice_gap(gb_pole_lattice(p, N + 3, N + 3), z0), 0.2)
     return residue_at(lambda z: gb_many(z, p, tol), complex(z0), radius)
 
 

@@ -10,11 +10,14 @@ Kernel families:
 * the Fourier-picture reduced kernels ``F_floor_star``/``F_ceil_star``
   applied as one-dimensional contour transforms.
 
-The applied transforms are ``axb``'s separating-contour transforms with the
-G_b kernel family in place of the gamma one, toward which it tends as q -> 1.
-In the centered variable (u = t2 + lam forward, mu = lam - t1 inverse) the
-G_b factors do not depend on lam: fixed-node grids and round trips take one
-G_b sweep per contour and contract it one lam at a time.
+The Fourier-picture kernels are the G_b kernel family of ``axb``: its point
+values are ``F_floor_star``/``F_ceil_star``, and the applied transforms are
+``axb``'s separating-contour transforms with this family in place of the
+gamma one.  The classical limit is the same swap of family: b times the
+G_b point at (b lam, b t1, b t2) tends to the gamma point at (lam, t1, t2)
+as q -> 1.  In the centered variable (u = t2 + lam forward, mu = lam - t1
+inverse) the G_b factors do not depend on lam: fixed-node grids and round
+trips take one G_b sweep per contour and contract it one lam at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,33 @@ _TRUNCATION = 6.0  # half-length of the quantum transforms' separating contour
 
 # ---------------------------------------------------------------------------
 # kernels
+
+
+def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
+    """The G_b kernel family at p, G_b evaluated to tol: its points are the
+    Fourier-picture kernels F_floor_star/F_ceil_star.  The separating contour
+    must clear the pole lattice by half its spacing."""
+
+    def contour(s):
+        cont = _separating_contour(s, _TRUNCATION)
+        # nearest off-head lattice points of the two pole ladders
+        step = min(abs(p.b), abs(1 / p.b))
+        if not path_clear_of(cont, [0 - 1j * step, complex(s) + 1j * step], 0.5 * step):
+            raise DomainError("contour too close to the pole lattice (increase spacing)")
+        return cont
+
+    return _Kernel(
+        lambda x, y: gb_many(1j * x, p, tol) * gb_many(-1j * y, p, tol),
+        lambda s: gb(-1j * s, p, tol).value,
+        contour, max_panel=0.25,
+        forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
+        inverse_phase=lambda lam, t1, t2: np.exp(1j * np.pi * lam * (lam + 2 * t2))
+        * np.exp(-2j * np.pi * t1 * t2),
+    )
+
+
+_POSITION_KINDS = ("floor", "ceil", "floor_star", "ceil_star")
+_FOURIER_KINDS = {"F_floor_star": "floor", "F_ceil_star": "ceil"}  # the G_b family's point kinds
 
 
 def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
@@ -53,7 +83,7 @@ def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
       F_ceil_star  = G_b(-i lam + i t1) G_b(i t2 + i lam)/G_b(i t)
                      e^{pi i lam(lam+2 t2)} e^{-2 pi i t1 t2}
     """
-    if kind in ("floor", "ceil", "floor_star", "ceil_star"):
+    if kind in _POSITION_KINDS:
         alpha, x, x1, x2 = (complex(v) for v in args)
         if kind in ("floor", "floor_star"):
             base = p.zeta_b_bar * np.exp(2j * np.pi * (x - x1) * (x2 - x1 + alpha)) \
@@ -71,52 +101,13 @@ def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
             * gb(p.Q / 2 + 1j * alpha, p, tol).value
         return complex(star * base)
 
-    if kind in ("F_floor_star", "F_ceil_star"):
-        lam, t1, t2 = (complex(v) for v in args)
-        t = t1 + t2
-        if kind == "F_floor_star":
-            return complex(
-                gb(-1j * t1 + 1j * lam, p, tol).value
-                * gb(-1j * t2 - 1j * lam, p, tol).value
-                / gb(-1j * t, p, tol).value
-                * np.exp(1j * np.pi * lam * (lam - 2 * t1))
-            )
-        return complex(
-            gb(-1j * lam + 1j * t1, p, tol).value
-            * gb(1j * lam + 1j * t2, p, tol).value
-            / gb(1j * t, p, tol).value
-            * np.exp(1j * np.pi * lam * (lam + 2 * t2))
-            * np.exp(-2j * np.pi * t1 * t2)
-        )
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    if kind in _FOURIER_KINDS:
+        return _gb_kernel(p, tol).point(_FOURIER_KINDS[kind], *(complex(v) for v in args))
+    raise DomainError(f"unknown kernel kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # applied transforms
-
-
-def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
-    """The G_b kernel family at p, G_b evaluated to tol; the separating contour
-    must clear the pole lattice by half its spacing."""
-
-    def weight(s):
-        gs = gb(-1j * s, p, tol).value
-        return lambda u: gb_many(1j * (u - s), p, tol) * gb_many(-1j * u, p, tol) / gs
-
-    def contour(s):
-        cont = _separating_contour(s, _TRUNCATION)
-        # nearest off-head lattice points of the two pole ladders
-        step = min(abs(p.b), abs(1 / p.b))
-        if not path_clear_of(cont, [0 - 1j * step, complex(s) + 1j * step], 0.5 * step):
-            raise DomainError("contour too close to the pole lattice (increase spacing)")
-        return cont
-
-    return _Kernel(
-        weight, contour, max_panel=0.25,
-        forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
-        inverse_phase=lambda lam, t1, t2: np.exp(1j * np.pi * lam * (lam + 2 * t2))
-        * np.exp(-2j * np.pi * t1 * t2),
-    )
 
 
 def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1e-8) -> complex:
@@ -130,7 +121,7 @@ def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1
     the G_b factors depend only on u and t (heads at u = 0 and u = t); f must
     be entire with rapid decay on horizontal lines (class W), vectorized.
     """
-    return _forward(_gb_kernel(p, tol), f, lam, t, tol)
+    return _forward(_gb_kernel(p, tol), f, lam, t, tol)[0]
 
 
 def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float = 1e-8) -> complex:
@@ -144,7 +135,7 @@ def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float =
     complex lam arrays and the scalar t (it is analytic; the forward transform
     provides this).
     """
-    return _inverse(_gb_kernel(p, tol), phi, t1, t2, tol)
+    return _inverse(_gb_kernel(p, tol), phi, t1, t2, tol)[0]
 
 
 def q_roundtrip(
@@ -169,7 +160,8 @@ def q_forward_grid(
 
 def kernel_limit_residual(lam: float, t1: float, t2: float, r: float,
                           variant: str = "floor", tol: float = 1e-11) -> float:
-    """|b * (rescaled quantum Fourier kernel) - classical kernel| at b^2 = i r.
+    """|b * (rescaled quantum Fourier kernel) - classical kernel| at b^2 = i r:
+    the G_b family's point against the gamma family's, same variant.
 
     Rescaling all variables by b and multiplying by b (the delta factors are
     resolved identically on both sides):
@@ -179,24 +171,5 @@ def kernel_limit_residual(lam: float, t1: float, t2: float, r: float,
     """
     p = from_r(r)
     b = p.b
-    t = t1 + t2
-    if variant == "floor":
-        quantum = b * (
-            gb(b * 1j * (lam - t1), p, tol).value
-            * gb(-b * 1j * (t2 + lam), p, tol).value
-            / gb(-b * 1j * t, p, tol).value
-            * np.exp(1j * np.pi * p.b2 * lam * (lam - 2 * t1))
-        )
-        classical = classical_kernel("floor", lam, t1, t2)
-    elif variant == "ceil":
-        quantum = b * (
-            gb(-b * 1j * (lam - t1), p, tol).value
-            * gb(b * 1j * (t2 + lam), p, tol).value
-            / gb(b * 1j * t, p, tol).value
-            * np.exp(1j * np.pi * p.b2 * lam * (lam + 2 * t2))
-            * np.exp(-2j * np.pi * p.b2 * t1 * t2)
-        )
-        classical = classical_kernel("ceil", lam, t1, t2)
-    else:
-        raise ValueError(f"unknown kernel variant {variant!r}")
-    return float(abs(quantum - classical))
+    quantum = b * _gb_kernel(p, tol).point(variant, b * lam, b * t1, b * t2)
+    return float(abs(quantum - classical_kernel(variant, lam, t1, t2)))

@@ -68,6 +68,30 @@ def test_usage_exit_code():
     assert code == 64
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("eval", "gamma"), 64),
+    (("eval", "fb", "0.4", "0.6", "--b", "0.8"), 64),
+    (("eval", "ckernel", "0.4", "1.0"), 64),
+    (("eval", "qkernel", "0.3", "0.8", "--b", "0.8"), 64),
+    (("eval", "coaction-kernel", "0.3", "--b", "0.8"), 64),
+    (("eval", "ckernel", "0.4", "1.0", "2.0", "--kind", "nope"), 2),
+    (("eval", "qkernel", "0.3", "0.8", "1.1", "--b", "0.8", "--kind", "nope"), 2),
+    (("transform", "--which", "classical", "--direction", "forward",
+      "--input", "{truncated}", "--output", "{out}"), 2),
+])
+def test_bad_invocation_exit_codes(tmp_path, argv, code):
+    # a wrong value count is a usage error, an unknown kind or unparsable
+    # transform input a domain error: an exit code and one line, no traceback
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text((DATA / "gaussian_forward.json").read_text()[:60])
+    argv = [a.format(truncated=truncated, out=tmp_path / "o.json") for a in argv]
+    got, _, err = run_cli(*argv)
+    assert got == code
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if argv[0] == "transform":
+        assert "transform input schema violation" in err
+
+
 def test_verify_determinism(tmp_path):
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1, _, _ = run_cli("verify", "q-binomial", "--seed", "42", "--out", str(f1))
@@ -127,6 +151,21 @@ def test_transform_classical_matches_fixture(tmp_path):
     for g, e in zip(got["values"], expected["values"]):
         assert abs(g["value"]["re"] - e["value"]["re"]) < 1e-9
         assert abs(g["value"]["im"] - e["value"]["im"]) < 1e-9
+
+
+@pytest.mark.parametrize("which", ["classical", "quantum"])
+@pytest.mark.parametrize("direction, data", [("forward", "gaussian_forward.json"),
+                                             ("inverse", "gaussian_pair.json")])
+def test_transform_err_is_the_quadrature_estimate(tmp_path, which, direction, data):
+    out_json = tmp_path / "o.json"
+    code, _, _ = run_cli("transform", "--which", which, "--direction", direction,
+                         "--input", str(DATA / data), "--output", str(out_json))
+    assert code == 0
+    tol = json.loads((DATA / data).read_text())["tol"]
+    values = json.loads(out_json.read_text())["values"]
+    assert values
+    for v in values:
+        assert np.isfinite(v["err"]) and 0 <= v["err"] <= tol and v["err"] != tol
 
 
 def _roundtrip_values(tmp_path, which):

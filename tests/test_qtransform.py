@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qplane.qdilog as qd
+from qplane import axb
 from qplane import qtransform as qt
+from qplane.contours import contour_nodes
 from qplane.modular import from_b
 
 P08 = from_b(0.8)
@@ -83,6 +85,32 @@ def test_inverse_via_forward_callable():
     phi = lambda lam, t: qt.q_forward_grid(GAUSS, lam, t, P08)
     v = qt.apply_q_inverse(phi, 0.4, 0.6, P08, tol=1e-7)
     assert abs(v - GAUSS(0.4, 0.6)) < 1e-6
+
+
+@pytest.mark.parametrize("family, kind, level", [
+    ("gamma", "floor", 2), ("gamma", "ceil", 2), ("gb", "floor", 1), ("gb", "ceil", 1)])
+def test_point_kernels_are_the_transform_integrands(family, kind, level):
+    # sum of weight * pointwise kernel * data over the separating contour's
+    # nodes reproduces the fixed-node transform of the same family
+    if family == "gamma":
+        kernel = axb._GAMMA
+        point = lambda lam, t1, t2: axb.classical_kernel(kind, lam, t1, t2)
+    else:
+        kernel = qt._gb_kernel(P08, 1e-9)
+        point = lambda lam, t1, t2: qt.q_kernel(f"F_{kind}_star", (lam, t1, t2), P08, 1e-9)
+    if kind == "floor":
+        lam, t = 0.3, 0.9
+        u, w = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
+        direct = sum(wk * point(lam, t - uk + lam, uk - lam) * GAUSS(t - uk + lam, uk - lam)
+                     for uk, wk in zip(u, w))
+        ref = (axb.intertwiner_forward_grid(GAUSS, np.array([lam]), t, level) if family == "gamma"
+               else qt.q_forward_grid(GAUSS, np.array([lam]), t, P08, 1e-9, level))[0]
+    else:
+        t1, t2 = 0.4, 0.6
+        mu, w = contour_nodes(kernel.contour(-(t1 + t2)), level=level, max_panel=kernel.max_panel)
+        direct = sum(wk * point(mk + t1, t1, t2) * GAUSS(mk + t1, t1 + t2) for mk, wk in zip(mu, w))
+        ref = axb._inverse(kernel, GAUSS, t1, t2, level=level)
+    assert abs(direct - ref) <= 1e-12 * abs(ref)
 
 
 def test_kernel_limit_monotone():
