@@ -1,0 +1,104 @@
+"""Measure a change against its parent with perfbench and write a BENCH json.
+
+    python scripts/bench_pair.py --parent ../parent --change . --out BENCH_<n>.json \\
+        --parent-label <commit> --change-label "<what the change does>"
+
+``--parent`` and ``--change`` are two qplane source checkouts; each runs its
+own ``perfbench/run.py``.  For every workload and seed (SEEDS, then
+perfbench's held-out seed) the two runs of SECONDS go back to back, the
+parent first on even-indexed seeds and the change first on odd ones, so a
+drift of the machine's speed hits both sides alike.  The file records every
+run's end-to-end metrics, their medians and the change/parent ratio of the
+medians.  Then each checkout runs ``--trace 1`` once per workload at
+TRACE_SEED for the work-count digest and the per-layer metrics in LAYERS,
+and ``qplane verify limits`` and ``qplane verify all`` are timed once each
+in a fresh interpreter.  A full run takes about 30 minutes.
+"""
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+WORKLOADS = ("gb-eval", "classical", "quantum")
+SEEDS, SECONDS = (201, 202, 203), 35.0
+HELD_OUT_SEED = 4145  # perfbench/run.py HELD_OUT_SEED
+TRACE_SEED, TRACE_SECONDS = 101, 10.0
+LAYERS = tuple(f"qdilog.gb_many.{regime}.{stat}" for regime in ("limit", "product")
+               for stat in ("points_per_s", "self_s"))
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+                           str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                          cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stdout
+
+
+def pairs(roots: dict, workload: str, seeds, seconds: float) -> dict:
+    runs = {side: [] for side in roots}
+    for i, seed in enumerate(seeds):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            out, _ = perfbench(roots[side], workload, seed, seconds, 0)
+            runs[side].append({"seed": seed, "failed": out["failed"], "attempted": out["attempted"],
+                               **{k: v["value"] for k, v in out["metrics"].items()}})
+            print(f"{workload} seed {seed} {side}: wall_s {runs[side][-1]['wall_s']:.4f}", flush=True)
+    summary = {}
+    for metric in runs["parent"][0]:
+        if metric in ("seed", "attempted"):
+            continue
+        med = {side: statistics.median(r[metric] for r in runs[side]) for side in roots}
+        summary[metric] = {**med, "ratio": med["change"] / med["parent"] if med["parent"] else None}
+    return {"median": summary, "runs": runs}
+
+
+def traced(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    out, text = perfbench(root, workload, seed, seconds, 1)
+    digest = re.search(r"work counts digest (\w+)", text).group(1)
+    return {"digest": digest, "failed": out["failed"],
+            **{k: out["metrics"][k]["value"] for k in LAYERS if k in out["metrics"]}}
+
+
+def verify_wall(root: Path, suite: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "qplane.cli", "verify", suite, "--seed", "42",
+                               "--out", str(Path(tmp) / "report.json")], cwd=root,
+                              env={**os.environ, **ENV, "PYTHONPATH": str(root / "src")})
+        return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, type=Path)
+    ap.add_argument("--change", required=True, type=Path)
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--parent-label", default="parent")
+    ap.add_argument("--change-label", default="change")
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    result = {
+        "parent": args.parent_label, "change": args.change_label,
+        "nproc": os.cpu_count(), "seconds": SECONDS, "seeds": SEEDS,
+        "order": "per seed back to back, parent first on even-indexed seeds",
+        "end_to_end": {w: pairs(roots, w, SEEDS, SECONDS) for w in WORKLOADS},
+        "held_out": {w: pairs(roots, w, [HELD_OUT_SEED], SECONDS) for w in WORKLOADS},
+        "per_layer": {"seed": TRACE_SEED, **{
+            w: {side: traced(root, w, TRACE_SEED, TRACE_SECONDS) for side, root in roots.items()}
+            for w in WORKLOADS}},
+        "verify": {suite: {side: verify_wall(root, suite) for side, root in roots.items()}
+                   for suite in ("limits", "all")},
+    }
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

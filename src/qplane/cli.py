@@ -121,10 +121,12 @@ def _cmd_eval(args) -> int:
     elif fn == "hyp2f1":
         value = hyp2f1_contour(vals[0], vals[1], vals[2], vals[3], tol)
         backend = "contour"
-    elif fn == "ckernel":
-        value = axb.classical_kernel(args.kind or "floor", *[v.real for v in vals])
     elif fn == "qkernel":
         value = qtransform.q_kernel(args.kind or "F_floor_star", vals, p, tol)
+    elif bad := [t for t, v in zip(args.args, vals) if v.imag]:  # ckernel, coaction-kernel
+        raise DomainError(f"{fn} takes real values, got {bad[0]!r}")
+    elif fn == "ckernel":
+        value = axb.classical_kernel(args.kind or "floor", *[v.real for v in vals])
     else:
         value, _ = corep.coaction_kernel(vals[0].real, vals[1].real, p, tol)
     record = {

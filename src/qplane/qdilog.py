@@ -2,7 +2,8 @@
 
 Two backends realize the same meromorphic function:
 
-* infinite product (Im b^2 > 0), truncated by explicit geometric tail bounds;
+* infinite product (Im b^2 > 0) in log form: per point the factors far from 1,
+  then Euler's series for the rest, cut where its remainder bound is tol/10;
 * one-dimensional integral representation (b real), by the trapezoid rule on
   a y-grid that is halved, reusing every node, until two levels agree to tol
   (geometric convergence: the integrand is analytic in the strip
@@ -19,6 +20,7 @@ toward the gamma function along b^2 = i r -> i 0+.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,50 +54,56 @@ class QDValue:
 # product backend (Im b^2 > 0)
 
 
-def _tail_terms(abs_ratio: float, tol: float) -> int:
-    if abs_ratio < 1e-300:
-        return 2
-    if abs_ratio >= 1.0:
-        raise DomainError("product representation diverges in this regime")
-    n = int(np.ceil(np.log(tol * (1.0 - abs_ratio) / 10.0) / np.log(abs_ratio)))
-    return max(4, n)
+@lru_cache(maxsize=256)
+def _euler_series(lq: complex, tol: float) -> tuple[float, np.ndarray, float]:
+    """ln(theta), the coefficients -1/(k (1 - e^{k lq})) for k <= K, and the bound
+    theta^{K+1}/((K+1)(1-|q|)(1-theta)) < tol/10 on the series cut at K, with
+    theta = e^{-sqrt(-Re lq ln(10/tol))}: head length and series length balance."""
+    alpha, L = -lq.real, np.log(10.0 / tol)
+    ln_theta = -np.sqrt(alpha * L)
+    ln_den = np.log(-np.expm1(-alpha)) + np.log(-np.expm1(ln_theta))  # ln((1-|q|)(1-theta))
+    k = np.arange(1, int(np.ceil((L - ln_den) / -ln_theta)) + 1)
+    ln_bound = (k + 1) * ln_theta - np.log(k + 1) - ln_den
+    K = int(np.argmax(ln_bound < -L)) + 1
+    return ln_theta, 1.0 / (k[:K] * np.expm1(k[:K] * lq)), float(np.exp(ln_bound[K - 1]))
+
+
+def _log_qpochhammer(a: np.ndarray, lq: complex, tol: float, poles=False) -> tuple[np.ndarray, float]:
+    """log prod_{m>=0} (1 - e^{a + m lq}), Re lq < 0, over a 1-D array a, and its error:
+    the series remainder bound plus eps max|log| for the rounding of the sums.  Per point
+    the M factors with |e^{a + m lq}| > theta are formed as -expm1 (the head; with ``poles``
+    one within _POLE_FACTOR_EPS of 0 raises PoleError), the rest by Euler's series
+    log(w; e^lq)_inf = -sum_k w^k/(k(1 - e^{k lq})), w = e^{a + M lq}.
+    """
+    if (re_max := float(a.real.max(initial=-np.inf))) > 690:
+        raise DomainError("argument too far from the pole-free region (overflow)")
+    ln_theta, coef, bound = _euler_series(complex(lq), float(tol))
+    M = np.maximum(np.ceil((a.real - ln_theta) / -lq.real), 0.0)
+    m = np.arange(int(max(0.0, np.ceil((re_max - ln_theta) / -lq.real))))  # up to max(M)
+    chunk = max(16, int(2e6 / (m.size + coef.size)))
+    out = np.empty(a.shape, dtype=complex)
+    for i0 in range(0, a.size, chunk):
+        ac, Mc = a[i0:i0 + chunk], M[i0:i0 + chunk]
+        W = np.repeat(np.exp(ac + Mc * lq)[:, None], coef.size, axis=1)
+        out[i0:i0 + chunk] = np.cumprod(W, axis=1, out=W) @ coef
+        if m.size:  # log|f| + i arg f in real arithmetic, many times faster than complex log
+            fac = -np.expm1(np.where(m < Mc[:, None], ac[:, None] + m * lq, -800.0))
+            mag = np.abs(fac)
+            if poles and mag.min() < _POLE_FACTOR_EPS:
+                raise PoleError("argument numerically on the pole lattice of G_b")
+            out[i0:i0 + chunk] += np.log(mag).sum(axis=1) + 1j * np.angle(fac).sum(axis=1)
+    return out, bound + np.finfo(float).eps * float(np.abs(out).max(initial=0.0))
 
 
 def _gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.ndarray, float]:
-    b, b2 = p.b, p.b2
-    binv2 = 1.0 / b2
-    rho_num = abs(np.exp(-2j * np.pi * binv2))
-    rho_den = abs(np.exp(2j * np.pi * b2))
-    flat = x.ravel()
-    # leading-factor magnitudes shift the geometric tail: need |E| rho^N small
-    ln_e_num = float(np.max((2j * np.pi * flat / b).real, initial=0.0))
-    ln_e_den = float(np.max((2j * np.pi * b * flat).real, initial=0.0))
-    Nn = _tail_terms(rho_num, tol) + int(max(0.0, ln_e_num) / -np.log(max(rho_num, 1e-300)) + 1)
-    Nd = _tail_terms(rho_den, tol) + int(max(0.0, ln_e_den) / -np.log(max(rho_den, 1e-300)) + 1)
-    big = max(ln_e_num, ln_e_den) > 250.0  # partial products may overflow: sum logs
-    n = np.arange(1, Nn + 1)
-    m = np.arange(0, Nd + 1)
-    chunk = max(16, int(2e6 / (Nn + Nd + 1)))
-    out = np.empty(flat.shape, dtype=complex)
-    for i0 in range(0, flat.size, chunk):
-        xs = flat[i0:i0 + chunk]
-        expo_num = 2j * np.pi * (xs[:, None] / b - n[None, :] * binv2)
-        expo_den = 2j * np.pi * (b * xs[:, None] + m[None, :] * b2)
-        if np.any(expo_num.real > 690) or np.any(expo_den.real > 690):
-            raise DomainError("argument too far from the pole-free region (overflow)")
-        fac_num = 1.0 - np.exp(expo_num)
-        fac_den = 1.0 - np.exp(expo_den)
-        if np.any(np.abs(fac_den) < _POLE_FACTOR_EPS):
-            raise PoleError("argument numerically on the pole lattice of G_b")
-        if big:
-            ln = np.log(fac_num).sum(axis=1) - np.log(fac_den).sum(axis=1)
-            out[i0:i0 + chunk] = np.exp(ln)
-        else:
-            out[i0:i0 + chunk] = np.prod(fac_num, axis=1) / np.prod(fac_den, axis=1)
-    vals = out.reshape(x.shape)
-    tail = rho_num ** (Nn + 1) / (1 - rho_num) if rho_num > 1e-300 else 0.0
-    tail += rho_den ** (Nd + 1) / (1 - rho_den) if rho_den > 1e-300 else 0.0
-    return p.zeta_b_bar * vals, tail
+    """zeta_b_bar (e^{2 pi i(x - 1/b)/b}; qtilde^2)_inf / (e^{2 pi i b x}; q^2)_inf in log form
+    ((x - 1/b)/b, not x/b - 1/b^2: no cancellation of two |b|^-2 terms), and its relative error:
+    both series remainders plus eps times each log and zeta_b_bar's exponent (O(|b|^-2))."""
+    b, b2, flat = p.b, p.b2, x.ravel()
+    ln_num, tail_num = _log_qpochhammer(2j * np.pi * ((flat - 1.0 / b) / b), -2j * np.pi / b2, tol)
+    ln_den, tail_den = _log_qpochhammer(2j * np.pi * b * flat, 2j * np.pi * b2, tol, poles=True)
+    err = tail_num + tail_den + np.finfo(float).eps * abs(np.pi / 12 * (b2 + 1.0 / b2))
+    return p.zeta_b_bar * np.exp(ln_num - ln_den).reshape(x.shape), err
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ def test_usage_exit_code():
     (("eval", "coaction-kernel", "0.3", "--b", "0.8"), 64),
     (("eval", "ckernel", "0.4", "1.0", "2.0", "--kind", "nope"), 2),
     (("eval", "qkernel", "0.3", "0.8", "1.1", "--b", "0.8", "--kind", "nope"), 2),
+    (("eval", "ckernel", "0.4+1i", "1.0", "2.0"), 2),
+    (("eval", "coaction-kernel", "0.3", "0.5+0.2i", "--b", "0.8"), 2),
     (("transform", "--which", "classical", "--direction", "forward",
       "--input", "{truncated}", "--output", "{out}"), 2),
 ])

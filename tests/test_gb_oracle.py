@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qplane.qdilog as qd
-from qplane.modular import from_b
+from qplane.modular import from_b, from_b2
 
 from test_qdilog import FIXTURE_DIGITS
 
@@ -44,6 +44,40 @@ def test_gb_error_estimate_bounds_oracle(b, frac, im, tol):
 def test_gb_error_estimate_shifted_point(tol):
     # one shift out of the base window, |G_b| ~ 120
     _assert_within_estimate(1.826 - 1.318j, 0.5, tol)
+
+
+def _oracle_product(x: complex, b: complex) -> complex:
+    """zeta_b_bar (e^{2 pi i(x/b - 1/b^2)}; qtilde^2)_inf / (e^{2 pi i b x}; q^2)_inf
+    as direct products at 40 digits, each run until its term is below 1e-45; b is
+    the double the evaluator holds, so both see the same parameter."""
+    with mp.workdps(40):
+        b, x = mp.mpc(b), mp.mpc(x)
+        b2 = b * b
+
+        def poch(a, lq):
+            out, m = mp.mpf(1), 0
+            while abs(term := mp.exp(a + m * lq)) >= mp.mpf("1e-45"):
+                out *= 1 - term
+                m += 1
+            return out
+
+        zeta_bar = mp.exp(-1j * mp.pi / 4 - 1j * mp.pi / 12 * (b2 + 1 / b2))
+        num = poch(2j * mp.pi * (x / b - 1 / b2), -2j * mp.pi / b2)
+        return complex(zeta_bar * num / poch(2j * mp.pi * b * x, 2j * mp.pi * b2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(b2=st.one_of(st.floats(1e-3, 0.1).map(lambda r: 1j * r),
+                    st.sampled_from([0.3 + 0.4j, 0.1 + 0.3j])),
+       re=st.floats(0.5, 1.5), im=st.floats(0.0, 0.3), tol=st.sampled_from([1e-10, 1e-13]))
+def test_gb_product_error_estimate_bounds_oracle(b2, re, im, tol):
+    # x = b u with u in the limits suite's box, along b^2 = i r and at generic b^2
+    p = from_b2(b2)
+    x = p.b * complex(re, im)
+    g = qd.gb(x, p, tol)
+    assert g.backend == "product"
+    ref = _oracle_product(x, p.b)
+    assert abs(g.value - ref) <= g.err_estimate + 1e-13 * abs(ref)
 
 
 def test_make_fixtures_reproduces_frozen_values():

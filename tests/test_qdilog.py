@@ -28,13 +28,22 @@ def test_integral_backend_fixtures():
 
 
 def test_gb_value_independent_of_batchmates():
-    # each point's y-grid converges past tol, so the step a batch settles on
-    # moves a value only at rounding level
-    xs = np.array([0.3 + 0.2j, 0.6 - 0.4j, P07.Q / 2])
-    batched = qd.gb_many(xs, P07)
-    for x, v in zip(xs, batched):
-        alone = qd.gb_many(np.array([x]), P07)[0]
-        assert abs(alone - v) / abs(alone) < 1e-13
+    # integral backend: each point's y-grid converges past tol, so the step a
+    # batch settles on moves a value only at rounding level; product backend:
+    # each point sizes its own head, whatever |e^{2 pi i b x}| its batchmates have
+    pl = from_b2(0.01j)
+    x0 = pl.b * (1 + 0.2j)
+    for xs, p in ((np.array([0.3 + 0.2j, 0.6 - 0.4j, P07.Q / 2]), P07),
+                  (np.array([x0, x0 - 3j]), pl)):
+        batched = qd.gb_many(xs, p)
+        for x, v in zip(xs, batched):
+            alone = qd.gb_many(np.array([x]), p)[0]
+            assert abs(alone - v) / abs(alone) < 1e-13
+
+
+def test_gb_many_empty_batch():
+    for p in (P07, from_b2(0.3 + 0.4j), from_r(0.01)):
+        assert qd.gb_many(np.array([], dtype=complex), p).shape == (0,)
 
 
 def test_ruijsenaars_base_values():
