@@ -8,11 +8,13 @@ own ``perfbench/run.py``.  For every workload and seed (SEEDS, then
 perfbench's held-out seed) the two runs of SECONDS go back to back, the
 parent first on even-indexed seeds and the change first on odd ones, so a
 drift of the machine's speed hits both sides alike.  The file records every
-run's end-to-end metrics, their medians and the change/parent ratio of the
-medians.  Then each checkout runs ``--trace 1`` once per workload at
-TRACE_SEED for the work-count digest and the per-layer metrics in LAYERS,
-and ``qplane verify limits`` and ``qplane verify all`` are timed once each
-in a fresh interpreter.  A full run takes about 30 minutes.
+run's end-to-end metrics, their medians, the change/parent ratio of the
+medians, the number of pairs in which the change reads lower and the
+interquartile range of the parent's runs.  Then each checkout runs ``--trace 1`` once per workload at
+TRACE_SEED for the work-count digest and every per-layer metric that
+``BENCHMARK.json`` lists, and each suite in VERIFY_SUITES is timed once
+through ``qplane verify`` in a fresh interpreter.  A full run takes about
+50 minutes.
 """
 
 import argparse
@@ -27,11 +29,12 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("gb-eval", "classical", "quantum")
-SEEDS, SECONDS = (201, 202, 203), 35.0
+SEEDS, SECONDS = tuple(range(201, 211)), 35.0
 HELD_OUT_SEED = 4145  # perfbench/run.py HELD_OUT_SEED
 TRACE_SEED, TRACE_SECONDS = 101, 10.0
-LAYERS = tuple(f"qdilog.gb_many.{regime}.{stat}" for regime in ("limit", "product")
-               for stat in ("points_per_s", "self_s"))
+LAYERS = tuple(m["name"] for m in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"])
+VERIFY_SUITES = ("limits", "classical-rep", "all")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -54,8 +57,13 @@ def pairs(roots: dict, workload: str, seeds, seconds: float) -> dict:
     for metric in runs["parent"][0]:
         if metric in ("seed", "attempted"):
             continue
-        med = {side: statistics.median(r[metric] for r in runs[side]) for side in roots}
-        summary[metric] = {**med, "ratio": med["change"] / med["parent"] if med["parent"] else None}
+        vals = {side: [r[metric] for r in runs[side]] for side in roots}
+        med = {side: statistics.median(v) for side, v in vals.items()}
+        summary[metric] = {**med, "ratio": med["change"] / med["parent"] if med["parent"] else None,
+                           "change_lower_in": sum(c < p for p, c in zip(vals["parent"], vals["change"]))}
+        if len(seeds) > 1:  # the parent's own spread, to weigh the medians' difference against
+            q1, _, q3 = statistics.quantiles(vals["parent"], n=4)
+            summary[metric]["parent_iqr"] = q3 - q1
     return {"median": summary, "runs": runs}
 
 
@@ -94,7 +102,7 @@ def main(argv=None) -> int:
             w: {side: traced(root, w, TRACE_SEED, TRACE_SECONDS) for side, root in roots.items()}
             for w in WORKLOADS}},
         "verify": {suite: {side: verify_wall(root, suite) for side, root in roots.items()}
-                   for suite in ("limits", "all")},
+                   for suite in VERIFY_SUITES},
     }
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 
@@ -58,6 +59,17 @@ def parse_complex(token: str, p: ModularParam | None = None) -> complex:
         return complex(token.replace("i", "j"))
     except ValueError as exc:
         raise DomainError(f"cannot parse complex value {token!r}") from exc
+
+
+def _tol(token: str) -> float:
+    """--tol: a positive finite float; anything else is a usage error."""
+    try:
+        tol = float(token)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise _UsageError(f"--tol must be a positive finite number, got {token!r}")
+    return tol
 
 
 def _parse_param(args) -> ModularParam | None:
@@ -281,14 +293,14 @@ def build_parser() -> _Parser:
     pe.add_argument("--b", type=float)
     pe.add_argument("--b2")
     pe.add_argument("--kind")
-    pe.add_argument("--tol", type=float, default=1e-10)
+    pe.add_argument("--tol", type=_tol, default=1e-10)
     pe.add_argument("--json", action="store_true", help="indent the JSON output")
     pe.add_argument("--out")
     pe.set_defaults(fn=_cmd_eval)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", nargs="?", default="all")
-    pv.add_argument("--tol", type=float, default=None,
+    pv.add_argument("--tol", type=_tol, default=None,
                     help="override the per-check default tolerances")
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--json", action="store_true")
@@ -313,8 +325,8 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)  # a bad --tol raises _UsageError here
         return args.fn(args)
     except (DomainError, QuadratureError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")

@@ -97,10 +97,15 @@ def _require_vector_fn(f: ComplexFn, z: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return _frozen(*np.polynomial.legendre.leggauss(order))
 
 
 def _pieces(contour: Contour) -> list[tuple]:
@@ -154,17 +159,21 @@ def _pieces(contour: Contour) -> list[tuple]:
     return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
 
 
+@lru_cache(maxsize=64)
 def _panels(lo: float, hi: float, n_pan: int, order: int) -> tuple[np.ndarray, float, np.ndarray]:
     """Composite Gauss-Legendre rule of ``n_pan`` equal panels on [lo, hi].
 
     Returns the nodes, the panel half-width and the reference weights tiled
-    over the panels; the rule's weights are ``half * weights``.
+    over the panels; the rule's weights are ``half * weights``.  Cached, so
+    the adaptive levels of every integral reuse their rules: the arrays are
+    read-only.
     """
     x, w = _gl_rule(order)
     edges = np.linspace(lo, hi, n_pan + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    return (mid[:, None] + half * x[None, :]).ravel(), half, np.tile(w, n_pan)
+    nodes, weights = _frozen((mid[:, None] + half * x[None, :]).ravel(), np.tile(w, n_pan))
+    return nodes, half, weights
 
 
 def _piece_nodes(pieces: list[tuple], level: int, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +185,7 @@ def _piece_nodes(pieces: list[tuple], level: int, max_panel: float) -> tuple[np.
             n_pan = max(1, int(np.ceil(abs(z1 - z0) / max_panel))) * 2**level
             tt, half, w = _panels(0.0, 1.0, n_pan, _GL_ORDER)
             nodes.append(z0 + (z1 - z0) * tt)
-            weights.append(np.full(w.size, (z1 - z0) * half) * w)
+            weights.append((z1 - z0) * half * w)
         else:
             _, ctr, R, th0, th1 = p
             th, half, w = _panels(th0, th1, 2 * 2**level, _GL_ORDER)

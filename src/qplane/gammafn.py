@@ -1,14 +1,19 @@
 """Complex gamma function and the classical contour-integral identities.
 
-The gamma implementation is a 15-term Lanczos rational approximation
-(g = 607/128) on Re z >= 1/2 plus the reflection formula elsewhere,
-accurate to ~1e-13 relative on the desk-scale box |z| <= 20.  These are the
+The gamma implementation is a 15-term Lanczos approximation (g = 607/128)
+on Re z >= 1/2 plus the reflection formula elsewhere, accurate to ~2e-14
+relative on the desk-scale box |z| <= 20 and ~1e-13 for |Im z| up to 120.
+The Lanczos sum's 14 partial fractions are summed in one broadcast call,
+in complex arithmetic on small batches and in real arithmetic (no complex
+division) on large ones, and the prefactor is a single exp.  These are the
 classical targets that the quantum-dilogarithm limits are checked against:
 the gamma-beta integral, the Mellin-Barnes binomial formula, and the Gauss
 hypergeometric function evaluated by contour integral.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,14 +41,46 @@ _LANCZOS_C = np.array([
 ])
 
 
+_LANCZOS_K = np.arange(1.0, _LANCZOS_C.size)
+_SMALL_BATCH = 256  # complex partial fractions up to here, real arithmetic beyond
+
+
+def _lanczos_sum(x: np.ndarray) -> np.ndarray:
+    """c_0 + sum_k c_k/(x + k) over a 1-D array x, as one broadcast (14, n) call.
+
+    Beyond _SMALL_BATCH points each term is c_k conj(x + k)/|x + k|^2 in real
+    arithmetic: no complex division, and half the memory traffic.
+    """
+    if x.size <= _SMALL_BATCH:
+        return _LANCZOS_C[0] + (_LANCZOS_C[1:, None] / (x + _LANCZOS_K[:, None])).sum(axis=0)
+    re = np.add.outer(_LANCZOS_K, x.real)
+    w = re * re
+    w += x.imag**2
+    np.divide(_LANCZOS_C[1:, None], w, out=w)
+    re *= w
+    out = np.empty(x.shape, dtype=complex)
+    out.real = _LANCZOS_C[0] + re.sum(axis=0)
+    out.imag = -x.imag * w.sum(axis=0)
+    return out
+
+
 def _gamma_core(z: np.ndarray) -> np.ndarray:
-    # valid for Re z > 0; poles are the caller's responsibility
-    zm1 = z - 1.0
-    series = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (zm1 + k)
-    t = zm1 + _LANCZOS_G + 0.5
-    return np.sqrt(2 * np.pi) * t ** (zm1 + 0.5) * np.exp(-t) * series
+    # valid for Re z > 0; poles are the caller's responsibility.  The
+    # prefactor t^(x + 1/2) e^-t, t = x + g + 1/2, is one exp of
+    # (x + 1/2)(log t - 1) - g: forming (x + 1/2) log t and then subtracting t
+    # rounds twice on the large phase (1.8e-13 against 1.0e-13 for |Im z| to 120).
+    x = (z - 1.0).ravel()
+    log_pre = (x + 0.5) * (np.log(x + (_LANCZOS_G + 0.5)) - 1.0) - _LANCZOS_G
+    return (math.sqrt(2 * math.pi) * np.exp(log_pre) * _lanczos_sum(x)).reshape(z.shape)
+
+
+def _reflected(z: np.ndarray) -> np.ndarray:
+    # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) for Re z < 1/2, where all the
+    # poles are: a pole also needs |Im z| < 1e-13, so few points reach the screen
+    near = z[np.abs(z.imag) < 1e-13]
+    if near.size and np.any(np.abs(near - np.round(near.real)) < 1e-13):
+        raise PoleError("gamma pole at non-positive integer argument")
+    return np.pi / (np.sin(np.pi * z) * _gamma_core(1.0 - z))
 
 
 def gamma(z) -> np.ndarray | complex:
@@ -51,20 +88,18 @@ def gamma(z) -> np.ndarray | complex:
 
     Raises PoleError when z is numerically a non-positive integer.
     """
-    zz = np.asarray(z, dtype=complex)
-    scalar = zz.ndim == 0
-    zz = np.atleast_1d(zz)
-    near_int = np.abs(zz - np.round(zz.real)) < 1e-13
-    if np.any(near_int & (np.round(zz.real) <= 0)):
-        raise PoleError("gamma pole at non-positive integer argument")
+    zz = np.atleast_1d(np.asarray(z, dtype=complex))
     left = zz.real < 0.5
-    out = np.empty_like(zz)
-    if np.any(~left):
+    n_left = int(np.count_nonzero(left))
+    if n_left == 0:  # all points on one side: no boolean-mask copies
+        out = _gamma_core(zz)
+    elif n_left == zz.size:
+        out = _reflected(zz)
+    else:
+        out = np.empty_like(zz)
+        out[left] = _reflected(zz[left])
         out[~left] = _gamma_core(zz[~left])
-    if np.any(left):
-        zl = zz[left]
-        out[left] = np.pi / (np.sin(np.pi * zl) * _gamma_core(1.0 - zl))
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if np.ndim(z) == 0 else out
 
 
 def gamma_beta_residual(w: complex, u: complex, tol: float = 1e-10) -> float:

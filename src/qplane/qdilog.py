@@ -19,6 +19,7 @@ toward the gamma function along b^2 = i r -> i 0+.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,12 @@ class QDValue:
     value: complex
     backend: str  # 'product' | 'integral' | 'functional-continuation'
     err_estimate: float
+
+
+def _require_tol(tol: float) -> None:
+    """Both backends size their work from log(1/tol): tol must be positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +106,7 @@ def _gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.nda
     """zeta_b_bar (e^{2 pi i(x - 1/b)/b}; qtilde^2)_inf / (e^{2 pi i b x}; q^2)_inf in log form
     ((x - 1/b)/b, not x/b - 1/b^2: no cancellation of two |b|^-2 terms), and its relative error:
     both series remainders plus eps times each log and zeta_b_bar's exponent (O(|b|^-2))."""
+    _require_tol(tol)
     b, b2, flat = p.b, p.b2, x.ravel()
     ln_num, tail_num = _log_qpochhammer(2j * np.pi * ((flat - 1.0 / b) / b), -2j * np.pi / b2, tol)
     ln_den, tail_den = _log_qpochhammer(2j * np.pi * b * flat, 2j * np.pi * b2, tol, poles=True)
@@ -125,6 +133,7 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
     every node, until |T(h/2) - T(h)| <= tol or _MAX_HALVINGS is reached.
     Returns the values and the largest such difference as the error estimate.
     """
+    _require_tol(tol)
     Q = b + 1.0 / b
     flat = z.ravel()
     im_max = float(np.max(np.abs(flat.imag))) if flat.size else 0.0

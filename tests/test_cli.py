@@ -80,10 +80,16 @@ def test_usage_exit_code():
     (("eval", "coaction-kernel", "0.3", "0.5+0.2i", "--b", "0.8"), 2),
     (("transform", "--which", "classical", "--direction", "forward",
       "--input", "{truncated}", "--output", "{out}"), 2),
+    (("eval", "gb", "0.5", "--b", "0.8", "--tol", "0"), 64),
+    (("eval", "gb", "0.5", "--b2", "0.3+0.4i", "--tol", "0"), 64),
+    (("eval", "gb", "0.5", "--b", "0.8", "--tol", "-1"), 64),
+    (("eval", "gb", "0.5", "--b", "0.8", "--tol", "nan"), 64),
+    (("verify", "q-binomial", "--tol", "inf"), 64),
 ])
 def test_bad_invocation_exit_codes(tmp_path, argv, code):
-    # a wrong value count is a usage error, an unknown kind or unparsable
-    # transform input a domain error: an exit code and one line, no traceback
+    # a wrong value count or a --tol that is not a positive finite number is a
+    # usage error, an unknown kind or unparsable transform input a domain
+    # error: an exit code and one line, no traceback
     truncated = tmp_path / "truncated.json"
     truncated.write_text((DATA / "gaussian_forward.json").read_text()[:60])
     argv = [a.format(truncated=truncated, out=tmp_path / "o.json") for a in argv]

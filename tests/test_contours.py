@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qplane import contours
 from qplane.contours import (
     Contour,
     Detour,
@@ -122,3 +123,28 @@ def test_integrate_contour_is_the_contour_nodes_rule():
         level += 1
     assert total == res.n_evals and level >= 2
     assert res.value == complex(np.sum(w * f(z)))
+
+
+def test_panel_rules_are_cached_read_only():
+    nodes, _, weights = contours._panels(0.0, 1.0, 8, 12)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
+    z, w = contour_nodes(cont, level=1)
+    z0, w0 = z.copy(), w.copy()
+    z[:], w[:] = 0.0, 0.0  # the caller owns what contour_nodes returns
+    z1, w1 = contour_nodes(cont, level=1)
+    assert np.array_equal(z1, z0) and np.array_equal(w1, w0)
+
+
+def test_panel_cache_matches_a_rebuild(monkeypatch):
+    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
+    f = lambda z: np.exp(-z * z) / (z * (z - 1.0 - 0.3j))
+    cached = [contour_nodes(cont, level=lv) for lv in range(3)]
+    res = integrate_contour(f, cont, tol=1e-10)
+    monkeypatch.setattr(contours, "_panels", contours._panels.__wrapped__)
+    for lv, (z, w) in enumerate(cached):
+        z1, w1 = contour_nodes(cont, level=lv)
+        assert np.array_equal(z, z1) and np.array_equal(w, w1)
+    assert integrate_contour(f, cont, tol=1e-10) == res

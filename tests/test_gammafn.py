@@ -86,3 +86,35 @@ def test_hyp2f1_pole_collision_flag():
         hyp2f1_contour(-1.0, 1.3, 2.1, -0.4)
     with pytest.raises(DomainError):
         hyp2f1_contour(0.5, 1.3, 2.1, 0.4)  # on the cut
+
+
+def test_gamma_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20)
+    box = 20 * np.sqrt(rng.uniform(0, 1, 400)) * np.exp(2j * np.pi * rng.uniform(0, 1, 400))
+    # the range hyp2f1_contour reaches: gamma(a + i s) with |s| up to ~120
+    strip = rng.uniform(-2, 3, 400) + 1j * rng.choice([-1, 1], 400) * rng.uniform(20, 120, 400)
+    for z, bound in ((box, 5e-14), (strip, 3e-13)):
+        with mp.workdps(30):
+            ref = np.array([complex(mp.gamma(mp.mpc(v.real, v.imag))) for v in z])
+        assert np.max(np.abs(gamma(z) / ref - 1)) <= bound
+
+
+def test_gamma_batch_size_forms_agree():
+    # small batches sum the partial fractions, large ones run Horner on P/Q
+    rng = np.random.default_rng(21)
+    z = rng.uniform(-3, 4, 2880) + 1j * rng.uniform(-15, 15, 2880)
+    big = gamma(z)
+    small = np.concatenate([gamma(z[i:i + 4]) for i in range(0, 64, 4)])
+    single = np.array([gamma(complex(v)) for v in z[:64]])
+    assert np.max(np.abs(small / big[:64] - 1)) <= 1e-14
+    assert np.max(np.abs(single / big[:64] - 1)) <= 1e-14
+
+
+def test_gamma_pole_screen():
+    for z in (0.0, -3.0, -3 + 1e-14j):
+        with pytest.raises(PoleError):
+            gamma(z)
+    assert np.isfinite(gamma(-3 + 1e-12j))
+    with pytest.raises(PoleError):  # one pole fails the whole batch, as before
+        gamma(np.array([0.5 + 1j, 2.0, -3.0]))

@@ -244,3 +244,10 @@ def test_asymptotics():
         x = p.Q / 2 - 8j
         tgt = p.zeta_b * np.exp(1j * np.pi * x * (x - p.Q))
         assert abs(qd.gb(x, p).value - tgt) / abs(tgt) < 1e-6
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_gb_many_rejects_bad_tol(tol):
+    for p in (P08, from_b2(0.3 + 0.4j)):
+        with pytest.raises(DomainError, match="tol"):
+            qd.gb_many(np.array([0.5, 0.7]), p, tol)
