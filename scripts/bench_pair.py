@@ -4,17 +4,22 @@
         --parent-label <commit> --change-label "<what the change does>"
 
 ``--parent`` and ``--change`` are two qplane source checkouts; each runs its
-own ``perfbench/run.py``.  For every workload and seed (SEEDS, then
-perfbench's held-out seed) the two runs of SECONDS go back to back, the
+own ``perfbench/run.py``.  First a size sweep times ``gb_many`` at
+SWEEP_SIZES points in both regimes, with one BLAS thread and with the
+library's default threading: each round runs the parent and the change as
+fresh subprocesses in alternating order, and the best of SWEEP_ROUNDS rounds
+is kept per side.  Then, for every workload and seed (SEEDS, then
+perfbench's held-out seed), the two runs of SECONDS go back to back, the
 parent first on even-indexed seeds and the change first on odd ones, so a
 drift of the machine's speed hits both sides alike.  The file records every
-run's end-to-end metrics, their medians, the change/parent ratio of the
-medians, the number of pairs in which the change reads lower and the
-interquartile range of the parent's runs.  Then each checkout runs ``--trace 1`` once per workload at
-TRACE_SEED for the work-count digest and every per-layer metric that
-``BENCHMARK.json`` lists, and each suite in VERIFY_SUITES is timed once
-through ``qplane verify`` in a fresh interpreter.  A full run takes about
-50 minutes.
+run's end-to-end metrics and probe failure counts (ops past the library's
+declared domain, not gated), the metrics' medians, the change/parent ratio
+of the medians, the number of pairs in which the change reads lower and the
+interquartile range of the parent's runs.  Then each checkout runs
+``--trace 1`` once per workload at TRACE_SEED for the work-count digest and
+every per-layer metric that ``BENCHMARK.json`` lists, and each suite in
+VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
+interpreter.  A full run takes about 55 minutes.
 """
 
 import argparse
@@ -36,6 +41,39 @@ LAYERS = tuple(m["name"] for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"])
 VERIFY_SUITES = ("limits", "classical-rep", "all")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SWEEP_SIZES, SWEEP_ROUNDS = (1, 4, 32, 128, 1152), 7
+# One child of the size sweep: per regime and size, the best over 5 repeats of the
+# mean time of gb_many on one seeded batch, the repeats long enough for ~20 ms each.
+# Points as in perfbench's gb-eval batches: real b = 0.8 with Re x in [-3, Q + 3],
+# 0.15 <= |Im x| <= 1.5; generic b^2 = 0.3 + 0.4i on the box [-1, 3] x [-1, 1].
+SWEEP_CHILD = """
+import json, sys, time
+import numpy as np
+from qplane import qdilog
+from qplane.modular import from_b, from_b2
+rng = np.random.default_rng(8)
+out = {}
+for regime, p in (("integral", from_b(0.8)), ("product", from_b2(0.3 + 0.4j))):
+    out[regime] = {}
+    for n in json.loads(sys.argv[1]):
+        if regime == "integral":
+            re = rng.uniform(-3.0, p.Q.real + 3.0, n)
+            x = re + 1j * rng.choice((-1.0, 1.0), n) * rng.uniform(0.15, 1.5, n)
+        else:
+            x = rng.uniform(-1.0, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        qdilog.gb_many(x, p)
+        t0 = time.perf_counter()
+        qdilog.gb_many(x, p)
+        reps = max(1, int(0.02 / (time.perf_counter() - t0)))
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                qdilog.gb_many(x, p)
+            best = min(best, (time.perf_counter() - t0) / reps)
+        out[regime][n] = best
+print(json.dumps(out))
+"""
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
@@ -45,17 +83,49 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stdout
 
 
+def size_sweep(roots: dict) -> dict:
+    """Best-of-SWEEP_ROUNDS gb_many seconds per call, {threads: {regime: {size: {side: s, ratio}}}}."""
+    default_env = {k: v for k, v in os.environ.items() if k not in ENV}
+    result = {}
+    for threads, env in (("one", {**default_env, **ENV}), ("default", default_env)):
+        best = {side: {} for side in roots}
+        for i in range(SWEEP_ROUNDS):
+            for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+                proc = subprocess.run([sys.executable, "-c", SWEEP_CHILD, json.dumps(SWEEP_SIZES)],
+                                      env={**env, "PYTHONPATH": str(roots[side] / "src")},
+                                      capture_output=True, text=True, check=True)
+                for regime, times in json.loads(proc.stdout).items():
+                    for n, t in times.items():
+                        key = (regime, n)
+                        best[side][key] = min(best[side].get(key, float("inf")), t)
+        result[threads] = {}
+        for regime, n in best["parent"]:
+            t = {side: best[side][(regime, n)] for side in roots}
+            result[threads].setdefault(regime, {})[n] = {**t, "ratio": t["change"] / t["parent"]}
+        print(f"size sweep, {threads} thread(s): {result[threads]}", flush=True)
+    return result
+
+
+def probe_counts(text: str) -> dict:
+    """{probe stratum: [failed, run]} from perfbench's ``probe_failed_frac`` line."""
+    m = re.search(r"probe_failed_frac .*\(not gated\): (.*)", text)
+    if m is None:
+        return {}
+    return {k: [int(bad), int(n)] for k, bad, n in re.findall(r"(\S+) (\d+)/(\d+)", m.group(1))}
+
+
 def pairs(roots: dict, workload: str, seeds, seconds: float) -> dict:
     runs = {side: [] for side in roots}
     for i, seed in enumerate(seeds):
         for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
-            out, _ = perfbench(roots[side], workload, seed, seconds, 0)
+            out, text = perfbench(roots[side], workload, seed, seconds, 0)
             runs[side].append({"seed": seed, "failed": out["failed"], "attempted": out["attempted"],
+                               "probes": probe_counts(text),
                                **{k: v["value"] for k, v in out["metrics"].items()}})
             print(f"{workload} seed {seed} {side}: wall_s {runs[side][-1]['wall_s']:.4f}", flush=True)
     summary = {}
     for metric in runs["parent"][0]:
-        if metric in ("seed", "attempted"):
+        if metric in ("seed", "attempted", "probes"):
             continue
         vals = {side: [r[metric] for r in runs[side]] for side in roots}
         med = {side: statistics.median(v) for side, v in vals.items()}
@@ -96,6 +166,8 @@ def main(argv=None) -> int:
         "parent": args.parent_label, "change": args.change_label,
         "nproc": os.cpu_count(), "seconds": SECONDS, "seeds": SEEDS,
         "order": "per seed back to back, parent first on even-indexed seeds",
+        "size_sweep": {"sizes": SWEEP_SIZES, "rounds": SWEEP_ROUNDS, "unit": "s per gb_many call",
+                       **size_sweep(roots)},
         "end_to_end": {w: pairs(roots, w, SEEDS, SECONDS) for w in WORKLOADS},
         "held_out": {w: pairs(roots, w, [HELD_OUT_SEED], SECONDS) for w in WORKLOADS},
         "per_layer": {"seed": TRACE_SEED, **{

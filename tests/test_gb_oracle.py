@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,21 @@ def test_gb_error_estimate_bounds_oracle(b, frac, im, tol):
 def test_gb_error_estimate_shifted_point(tol):
     # one shift out of the base window, |G_b| ~ 120
     _assert_within_estimate(1.826 - 1.318j, 0.5, tol)
+
+
+@settings(max_examples=12, deadline=None)
+@given(b=st.floats(0.5, 2.0), x=st.floats(0.1, 6.5), sign=st.sampled_from([-1.0, 1.0]),
+       tol=st.sampled_from([1e-10, 1e-12]))
+def test_gb_kernel_sweep_arguments_bound_oracle(b, x, sign, tol):
+    # w = i x, the arguments of the kernel sweeps, |Re z| up to 6.5 (w = 0 is a
+    # pole); the point alone forms every e^{2i y z}, repeated 24 times it takes
+    # the exponential table
+    w = complex(0.0, sign * x)
+    p = from_b(b)
+    g = qd.gb(w, p, tol)
+    ref = _oracle_gb(w, b)
+    for v in (g.value, qd.gb_many(np.full(24, w), p, tol)[0]):
+        assert abs(v - ref) <= g.err_estimate + 1e-13 * abs(ref)
 
 
 def _oracle_product(x: complex, b: complex) -> complex:

@@ -41,6 +41,19 @@ def test_gb_value_independent_of_batchmates():
             assert abs(alone - v) / abs(alone) < 1e-13
 
 
+@pytest.mark.parametrize("b", [0.7, 1.3])
+def test_large_real_b_batch_matches_single_points(b):
+    # 1,152 points, the suites' most common request: the batch sums its nodes
+    # through the exponential table, a single point through every e^{2i y z}
+    p = from_b(b)
+    rng = np.random.default_rng(1152)
+    re = rng.uniform(-3.0, p.Q.real + 3.0, 1152)
+    x = re + 1j * rng.choice((-1.0, 1.0), 1152) * rng.uniform(0.15, 1.5, 1152)
+    batched = qd.gb_many(x, p)
+    alone = np.array([qd.gb(v, p).value for v in x])
+    assert np.max(np.abs(batched - alone) / np.abs(alone)) < 1e-13
+
+
 def test_gb_many_empty_batch():
     for p in (P07, from_b2(0.3 + 0.4j), from_r(0.01)):
         assert qd.gb_many(np.array([], dtype=complex), p).shape == (0,)
