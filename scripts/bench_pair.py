@@ -19,7 +19,9 @@ interquartile range of the parent's runs.  Then each checkout runs
 ``--trace 1`` once per workload at TRACE_SEED for the work-count digest and
 every per-layer metric that ``BENCHMARK.json`` lists, and each suite in
 VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
-interpreter.  A full run takes about 55 minutes.
+interpreter.  Last, each checkout counts the integrand nodes of one adaptive
+``axb.intertwiner_forward`` call at each t in NODE_TS (deterministic).  A
+full run takes about 55 minutes.
 """
 
 import argparse
@@ -74,6 +76,36 @@ for regime, p in (("integral", from_b(0.8)), ("product", from_b2(0.3 + 0.4j))):
         out[regime][n] = best
 print(json.dumps(out))
 """
+# One child of the node count: integrand nodes per adaptive intertwiner_forward call,
+# counted through the integrand that axb hands to integrate_contour.
+NODE_TS = (0.2, 0.3, 0.5, 1.0)
+NODES_CHILD = """
+import json, sys
+import numpy as np
+from qplane import axb
+count = [0]
+quad = axb.integrate_contour
+def counted(f, *args, **kwargs):
+    def g(z):
+        count[0] += np.size(z)
+        return f(z)
+    return quad(g, *args, **kwargs)
+axb.integrate_contour = counted
+f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3 * t1)
+out = {}
+for t in json.loads(sys.argv[1]):
+    count[0] = 0
+    axb.intertwiner_forward(f, 0.4, t)
+    out[t] = count[0]
+print(json.dumps(out))
+"""
+
+
+def forward_nodes(root: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", NODES_CHILD, json.dumps(NODE_TS)],
+                          env={**os.environ, **ENV, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
@@ -175,6 +207,8 @@ def main(argv=None) -> int:
             for w in WORKLOADS}},
         "verify": {suite: {side: verify_wall(root, suite) for side, root in roots.items()}
                    for suite in VERIFY_SUITES},
+        "forward_nodes": {"lam": 0.4, "tol": 1e-9,
+                          **{side: forward_nodes(root) for side, root in roots.items()}},
     }
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0

@@ -22,7 +22,7 @@ from . import axb, corep, qtransform
 from . import qdilog as qd
 from .classw import ClassWFunction, WTerm
 from .errors import DomainError, QuadratureError
-from .gammafn import gamma, hyp2f1_contour
+from .gammafn import _hyp2f1_contour, gamma
 from .modular import ModularParam, from_b, from_b2
 from .verify import SUITES, run_suite
 
@@ -128,10 +128,10 @@ def _cmd_eval(args) -> int:
                "veta": qd.veta, "ruijsenaars_g": qd.ruijsenaars_g}[fn](vals[0], p, tol)
         value, backend, err = res.value, res.backend, res.err_estimate
     elif fn == "fb":
-        value = qd.fb_hypergeometric(vals[0], vals[1], vals[2], vals[3], p, tol)
+        value, err = qd._fb_hypergeometric(*vals, p, tol)
         backend = "contour"
     elif fn == "hyp2f1":
-        value = hyp2f1_contour(vals[0], vals[1], vals[2], vals[3], tol)
+        value, err = _hyp2f1_contour(*vals, tol)
         backend = "contour"
     elif fn == "qkernel":
         value = qtransform.q_kernel(args.kind or "F_floor_star", vals, p, tol)

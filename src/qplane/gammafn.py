@@ -80,7 +80,13 @@ def _reflected(z: np.ndarray) -> np.ndarray:
     near = z[np.abs(z.imag) < 1e-13]
     if near.size and np.any(np.abs(near - np.round(near.real)) < 1e-13):
         raise PoleError("gamma pole at non-positive integer argument")
-    return np.pi / (np.sin(np.pi * z) * _gamma_core(1.0 - z))
+    # sin(pi z) = (-1)^n sin(pi (z - n)), n = round(Re z): z - n is exact, so
+    # pi z is never rounded near a pole (n = 0, the same value, for |Re z| < 1/2)
+    n = np.round(z.real)
+    sin = np.sin(np.pi * (z - n))
+    if n.any():
+        sin = np.where(n % 2 == 0, sin, -sin)
+    return np.pi / (sin * _gamma_core(1.0 - z))
 
 
 def gamma(z) -> np.ndarray | complex:
@@ -173,9 +179,16 @@ def hyp2f1_contour(a: complex, b: complex, c: complex, z: complex, tol: float = 
     with the contour separating the pole ladder of Gamma(-is) (downward from 0)
     from those of Gamma(a+is), Gamma(b+is) (upward from ia, ib).
     """
+    return _hyp2f1_contour(a, b, c, z, tol)[0]
+
+
+def _hyp2f1_contour(a, b, c, z, tol: float) -> tuple[complex, float]:
+    """hyp2f1_contour's value and the quadrature's error estimate scaled by
+    the prefactor (the series' stopping bound near z = 0)."""
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if abs(z) < 1e-8:
-        return hyp2f1_series(a, b, c, z)  # contour degenerates smoothly at z -> 0
+    if abs(z) < 1e-8:  # contour degenerates smoothly at z -> 0
+        val = hyp2f1_series(a, b, c, z)
+        return val, 1e-14 * max(1.0, abs(val))
     if z.real >= 0 and abs(z.imag) < 1e-14:
         raise DomainError("(-z) power needs z off the cut [0, inf)")
     for p in (a, b):
@@ -198,5 +211,6 @@ def hyp2f1_contour(a: complex, b: complex, c: complex, z: complex, tol: float = 
     T = max(10.0, 35.0 / rate)
     pole_sides = [(0j, "above"), (1j * a, "below"), (1j * b, "below")]
     cont = auto_detours(pole_sides, truncation=T)
-    val = integrate_contour(integrand, cont, tol=tol).value / (2 * np.pi)
-    return gc / (ga * gb_) * val
+    res = integrate_contour(integrand, cont, tol=tol)
+    pref = gc / (ga * gb_) / (2 * np.pi)
+    return complex(pref * res.value), abs(pref) * res.err_estimate

@@ -257,9 +257,21 @@ def _gb_integral_many(w: np.ndarray, p: ModularParam, tol: float) -> tuple[np.nd
     return vals.reshape(w.shape), err, bool(kmax > 0 or kmin < 0)
 
 
+def _finite_args(x) -> np.ndarray:
+    """x as a complex array of at least one dimension; DomainError naming the
+    first non-finite entry (a NaN or infinite real part would make the
+    continuation's shift count unbounded)."""
+    xx = np.atleast_1d(np.asarray(x, dtype=complex))
+    finite = np.isfinite(xx).ravel()
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"non-finite G_b argument at index {i}: {xx.ravel()[i]}")
+    return xx
+
+
 def gb_many(x, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
     """Vectorized G_b(x); the workhorse behind every kernel evaluation."""
-    xx = np.atleast_1d(np.asarray(x, dtype=complex))
+    xx = _finite_args(x)
     if p.regime == "product":
         vals, _ = _gb_product_many(xx, p, tol)
     else:
@@ -274,9 +286,10 @@ def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     integral representation, continued by G_b(x+b) = (1-e^{2 pi i b x})G_b(x)
     when Re(x) falls outside the base window.  Arguments on the pole lattice
     -n b - m/b raise PoleError; on the zero lattice Q + n b + m/b the value
-    comes out (numerically exactly) zero.
+    comes out (numerically exactly) zero.  A non-finite argument raises
+    DomainError.
     """
-    xx = np.atleast_1d(np.asarray(x, dtype=complex))
+    xx = _finite_args(x)
     if p.regime == "product":
         vals, tail = _gb_product_many(xx, p, tol)
         return QDValue(complex(vals[0]), "product", tail * abs(complex(vals[0])))
@@ -584,6 +597,12 @@ def fb_hypergeometric(alpha, beta, gamma_, z, p: ModularParam, tol: float = 1e-8
     factors from the descending ones of G_b(-i tau)/G_b(c+i tau).  Integrand
     decay is pre-validated from the asymptotic exponents.
     """
+    return _fb_hypergeometric(alpha, beta, gamma_, z, p, tol)[0]
+
+
+def _fb_hypergeometric(alpha, beta, gamma_, z, p: ModularParam, tol: float) -> tuple[complex, float]:
+    """fb_hypergeometric's value and the quadrature's error estimate scaled by
+    the prefactor."""
     a, bb, c, z = complex(alpha), complex(beta), complex(gamma_), complex(z)
     if z.real >= 0 and abs(z.imag) < 1e-14:
         raise DomainError("(-z) power needs z off the cut [0, inf)")
@@ -608,9 +627,9 @@ def fb_hypergeometric(alpha, beta, gamma_, z, p: ModularParam, tol: float = 1e-8
             / gb_many(c + 1j * tau, p, tol)
         )
 
-    val = integrate_contour(f, cont, tol=tol, max_panel=min(0.5, float(T) / 6.0)).value
+    res = integrate_contour(f, cont, tol=tol, max_panel=min(0.5, float(T) / 6.0))
     pref = gb(c, p, tol).value / (gb(a, p, tol).value * gb(bb, p, tol).value)
-    return complex(pref * val)
+    return complex(pref * res.value), abs(pref) * res.err_estimate
 
 
 # ---------------------------------------------------------------------------

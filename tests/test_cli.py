@@ -63,6 +63,18 @@ def test_eval_pole_exit_code():
     assert "pole" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hyp2f1", "0.5", "1.3", "2.1", "-0.4", "--tol", "1e-9"),
+    ("fb", "0.4", "0.6", "1.1", "-0.5", "--b", "0.8", "--tol", "1e-6"),
+])
+def test_eval_contour_functions_report_the_quadrature_error(argv):
+    code, out, _ = run_cli("eval", *argv)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["backend"] == "contour"
+    assert 0 < rec["err_estimate"] <= float(argv[-1])
+
+
 def test_usage_exit_code():
     code, _, _ = run_cli("bogus-subcommand")
     assert code == 64

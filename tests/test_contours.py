@@ -100,6 +100,17 @@ def test_auto_detours_skips_cleared_poles():
     assert cont.detours[0].pole == 0j
 
 
+def test_auto_detour_radius_ignores_gaps_the_line_clears():
+    # two close poles far above the line must not shrink the detour at 0
+    # (a 4e-6 radius there left 1/z-like panels no bisection depth resolves)
+    cont = auto_detours([(0j, "above"), (2j, "below"), (2.00001j, "below")], truncation=8.0)
+    assert [d.pole for d in cont.detours] == [0j]
+    assert cont.detours[0].radius == 0.35
+    # between detoured poles the quarter-gap rule still holds
+    cont = auto_detours([(0j, "above"), (0.4 + 0j, "below")], truncation=8.0)
+    assert [d.radius for d in cont.detours] == [0.1, 0.1]
+
+
 def test_contour_value_radius_independent():
     # the 1/z detour integral must not depend on the detour radius
     vals = []
@@ -110,19 +121,109 @@ def test_contour_value_radius_independent():
     assert abs(vals[1] - vals[2]) < 1e-10
 
 
-def test_integrate_contour_is_the_contour_nodes_rule():
-    # segments, an arc on the line, and an off-line pole with vertical legs
+def test_gauss_kronrod_table():
+    x, w = contours._GK21
+    wk, wg = w[:, 0], w[:, 1]
+    xg, wgl = np.polynomial.legendre.leggauss(10)
+    # the odd-indexed nodes are the 10-point Gauss rule, with its weights
+    assert np.max(np.abs(x[1::2] - xg)) <= 1e-15 and np.max(np.abs(wg[1::2] - wgl)) <= 1e-15
+    assert not wg[::2].any()
+    assert abs(wk.sum() - 2) <= 1e-15 and abs(wg.sum() - 2) <= 1e-15
+    for k in range(32):  # degree 3n + 1 = 31
+        assert abs(np.sum(wk * x**k) - (2 / (k + 1) if k % 2 == 0 else 0)) <= 1e-15
+    assert not (x.flags.writeable or w.flags.writeable)
+
+
+def test_integrate_contour_evaluates_each_node_once():
     cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
-    f = lambda z: np.exp(-z * z) / (z * (z - 1.0 - 0.3j))
-    res = integrate_contour(f, cont, tol=1e-10)
-    # n_evals sums the node counts of levels 0..L, where L is the stopping level
-    total, level = 0, 0
-    while total < res.n_evals:
-        z, w = contour_nodes(cont, level=level)
-        total += z.size
-        level += 1
-    assert total == res.n_evals and level >= 2
-    assert res.value == complex(np.sum(w * f(z)))
+    seen = []
+
+    def f(z):
+        seen.append(z.copy())
+        return np.exp(-z * z) / (z * (z - 1.0 - 0.3j))
+
+    res = integrate_contour(f, cont, tol=1e-12)
+    z = np.concatenate(seen)
+    assert len(seen) >= 2 and z.size == res.n_evals
+    assert np.unique(z).size == z.size
+    # only the panels that need it are refined: fewer nodes than one global halving
+    assert len(seen[1]) < len(seen[0])
+
+
+def _mp_contour(mp, fmp, contour):
+    """mpmath tanh-sinh quadrature over the contour's pieces."""
+    total = mp.mpc(0)
+    for p in contours._pieces(contour):
+        if p[0] == "seg":
+            z0, d = mp.mpc(p[1]), mp.mpc(p[2] - p[1])
+            cuts = mp.linspace(0, 1, max(2, int(np.ceil(abs(p[2] - p[1]))) + 1))
+            total += mp.quad(lambda s: fmp(z0 + d * s) * d, cuts)
+        else:
+            c, R = mp.mpc(p[1]), mp.mpf(p[2])
+            total += mp.quad(lambda th: fmp(c + R * mp.expj(th)) * 1j * R * mp.expj(th),
+                             [p[3], p[4]])
+    return complex(total)
+
+
+def test_error_estimate_bounds_the_error_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    from qplane import axb
+
+    t, lam = 0.2, 0.4
+    weight = axb._GAMMA.weight(t)
+    g = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2)
+    cases = [
+        (lambda z: np.exp(-np.pi * z**2), lambda z: mp.exp(-mp.pi * z**2),
+         Contour(0.0, (), 6.0), 1e-13),
+        (lambda z: np.exp(-z * z) / z, lambda z: mp.exp(-z * z) / z,
+         Contour(0.0, (Detour(0j, "below", 0.1),), 10.0), 1e-11),
+        # the gamma-kernel forward integrand, where the pinching pair 0, t is close
+        (lambda u: weight(u) * g(t - u + lam, u - lam),
+         lambda u: (mp.gamma(1j * (u - t)) * mp.gamma(-1j * u) / mp.gamma(-1j * mp.mpf(t))
+                    * mp.exp(-((t - u + lam) ** 2 + (u - lam) ** 2) / 2)),
+         axb._GAMMA.contour(t), 1e-9),
+    ]
+    with mp.workdps(25):
+        for f, fmp, cont, tol in cases:
+            res = integrate_contour(f, cont, tol=tol)
+            assert abs(res.value - _mp_contour(mp, fmp, cont)) <= res.err_estimate <= tol
+
+
+def test_rounding_floor_is_reported_not_hidden():
+    # 50 eps int |f| > tol: no bisection can help, and the call says so
+    with pytest.raises(QuadratureError):
+        integrate_line(lambda z: 1e4 * np.exp(-np.pi * z**2), 6.0, tol=1e-13)
+
+
+# (re, im) of fixed-node grid outputs as float.hex, recorded before the
+# adaptive rule became Gauss-Kronrod: contour_nodes keeps its composite
+# Gauss-Legendre panels, so these stay bit-identical
+GRID_PINS = [
+    ("0x1.20414d881d2fdp-1", "0x1.88faf84868830p-3"),
+    ("0x1.2a5792a05d38fp-1", "0x1.024fddfe1c98dp-1"),
+    ("0x1.3736afa242f22p-3", "0x1.ae1220bce4969p-4"),
+    ("0x1.eb3e02d423e33p-3", "0x1.31b38f9492662p-1"),
+    ("0x1.6a5a4d0e64a81p-1", "0x1.2367031462797p-4"),
+    ("0x1.75b730dc8ad54p-4", "0x1.5444c66ce31cbp-2"),
+    ("0x1.aff4d5b82276fp-1", "0x1.3702337a56409p-4"),
+    ("0x1.768e9a3925fe0p-1", "-0x1.46237a1ead8c2p-1"),
+]
+
+
+def test_fixed_node_grids_unchanged():
+    from qplane import axb, qtransform
+    from qplane.modular import from_b
+
+    f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3j * t1)
+    p8 = from_b(0.8)
+    lams = np.array([-0.7, 0.4, 1.3])
+    vals = [*axb.intertwiner_forward_grid(f, lams, 0.6),
+            *qtransform.q_forward_grid(f, lams, 0.6, p8),
+            qtransform.q_roundtrip(f, 0.3, 0.5, p8),
+            axb._inverse(axb._GAMMA, lambda lam, t: np.exp(-lam**2) * (1 + 0 * t), 0.3, 0.5,
+                         level=2)]
+    assert [complex(v) for v in vals] == [
+        complex(float.fromhex(re), float.fromhex(im)) for re, im in GRID_PINS]
 
 
 def test_panel_rules_are_cached_read_only():

@@ -88,6 +88,16 @@ def test_hyp2f1_pole_collision_flag():
         hyp2f1_contour(0.5, 1.3, 2.1, 0.4)  # on the cut
 
 
+def test_hyp2f1_contour_with_nearly_equal_upper_parameters():
+    # the pole ladders of Gamma(a + is) and Gamma(b + is) nearly coincide,
+    # far above the line: the contour needs no small detour for them
+    for a, b, c, z in ((1.3210606397595699, 1.3198288676877987, 3.226366904453713,
+                        -0.07619642420689829 - 0.15154577175300665j),
+                       (0.6264055087054188, 0.6264202866577091, 2.2383045456562822,
+                        0.26723720863217737 - 0.2218474934252938j)):
+        assert abs(hyp2f1_contour(a, b, c, z) - hyp2f1_series(a, b, c, z)) < 1e-9
+
+
 def test_gamma_against_mpmath():
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20)
@@ -118,3 +128,27 @@ def test_gamma_pole_screen():
     assert np.isfinite(gamma(-3 + 1e-12j))
     with pytest.raises(PoleError):  # one pole fails the whole batch, as before
         gamma(np.array([0.5 + 1j, 2.0, -3.0]))
+
+
+def test_gamma_near_negative_integers_against_mpmath():
+    # sin(pi z) from the reduced argument z - round(Re z): the product pi z
+    # alone loses |z| / |z + n| ulps next to the pole at -n
+    mp = pytest.importorskip("mpmath")
+    for z in (-10.0001, -19.99999, -5.5 + 1e-6j, -7.000001 + 0.01j):
+        with mp.workdps(30):
+            ref = complex(mp.gamma(mp.mpc(z)))
+        assert abs(gamma(z) / ref - 1) <= 1e-14
+
+
+def test_reflection_unchanged_on_the_central_strip():
+    # for |Re z| < 1/2 the reduction is by n = 0, so the classical kernels'
+    # gamma(+-i x) keep their values bit for bit
+    from qplane import gammafn
+
+    rng = np.random.default_rng(3)
+    z = np.concatenate([1j * rng.uniform(-14, 14, 300),
+                        rng.uniform(-0.49, 0.49, 300) + 1j * rng.uniform(-14, 14, 300)])
+    z = z[z.real < 0.5]
+    old = np.pi / (np.sin(np.pi * z) * gammafn._gamma_core(1.0 - z))
+    assert np.array_equal(gammafn._reflected(z), old)
+    assert np.array_equal(gamma(z), old)

@@ -264,3 +264,38 @@ def test_gb_many_rejects_bad_tol(tol):
     for p in (P08, from_b2(0.3 + 0.4j)):
         with pytest.raises(DomainError, match="tol"):
             qd.gb_many(np.array([0.5, 0.7]), p, tol)
+
+
+_NON_FINITE_CHILD = """
+import sys
+import numpy as np
+import qplane.qdilog as qd
+from qplane.errors import DomainError
+from qplane.modular import from_b, from_b2
+x = complex(sys.argv[1])
+for p in (from_b(0.8), from_b2(0.3 + 0.4j)):
+    for call in (lambda: qd.gb_many(np.array([0.5, x, x]), p), lambda: qd.gb(x, p)):
+        try:
+            call()
+        except DomainError as e:
+            assert "index" in str(e), e
+        else:
+            raise SystemExit("no DomainError")
+"""
+
+
+@pytest.mark.parametrize("x", ["nan", "nan+0.1j", "inf+0.1j", "-inf+0.1j", "0.3+infj"])
+def test_gb_rejects_non_finite_arguments(x):
+    # in a child process with a timeout: a NaN real part once sent the
+    # continuation's shift loop through ~9e18 iterations
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _NON_FINITE_CHILD, x],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+def test_gb_many_names_the_first_non_finite_index():
+    with pytest.raises(DomainError, match="index 2"):
+        qd.gb_many(np.array([0.5, 0.6, np.nan, np.inf]), P08)
