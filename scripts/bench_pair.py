@@ -4,7 +4,12 @@
         --parent-label <commit> --change-label "<what the change does>"
 
 ``--parent`` and ``--change`` are two qplane source checkouts; each runs its
-own ``perfbench/run.py``.  First a size sweep times ``gb_many`` at
+own ``perfbench/run.py``.  First the latency of a single ``qplane eval``:
+the median in-process ``cli.main`` time over seeded ``eval gb`` argvs of the
+kinds of perfbench's gb-eval CLI strata (real b, generic b^2, b^2 = i r), the
+best of EVAL_ROUNDS alternating fresh processes per side, and the best of
+FRESH_RUNS alternating runs of ``python -m qplane.cli`` FRESH_ARGV in a fresh
+interpreter, all with one BLAS thread.  Then a size sweep times ``gb_many`` at
 SWEEP_SIZES points in both regimes, with one BLAS thread and with the
 library's default threading: each round runs the parent and the change as
 fresh subprocesses in alternating order, and the best of SWEEP_ROUNDS rounds
@@ -21,7 +26,7 @@ every per-layer metric that ``BENCHMARK.json`` lists, and each suite in
 VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
 interpreter.  Last, each checkout counts the integrand nodes of one adaptive
 ``axb.intertwiner_forward`` call at each t in NODE_TS (deterministic).  A
-full run takes about 55 minutes.
+full run takes about 45 minutes.
 """
 
 import argparse
@@ -76,6 +81,46 @@ for regime, p in (("integral", from_b(0.8)), ("product", from_b2(0.3 + 0.4j))):
         out[regime][n] = best
 print(json.dumps(out))
 """
+# One child of the eval latency: per argv kind, the median seconds of an in-process
+# cli.main call over EVAL_REPEATS passes of 20 seeded argvs, drawn as perfbench's
+# cli-integral, cli-product and cli-limit strata draw theirs, and the median over all.
+EVAL_ROUNDS, EVAL_REPEATS = 5, 5
+FRESH_ARGV, FRESH_RUNS = ("eval", "gb", "0.5", "--b", "0.8"), 7
+EVAL_CHILD = """
+import contextlib, io, json, statistics, sys, time
+import numpy as np
+from qplane import cli
+from qplane.modular import from_r
+rng = np.random.default_rng(10)
+token = lambda z: f"{z.real:.17g}{z.imag:+.17g}i"
+argvs = {"integral": [], "product": [], "limit": []}
+for _ in range(20):
+    b = float(rng.uniform(0.6, 1.3))
+    x = complex(rng.uniform(0.05, b + 1 / b + 2.5), rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.5))
+    argvs["integral"].append(["eval", "gb", token(x), "--b", repr(b)])
+    x = complex(rng.uniform(0.05, 3.0), rng.uniform(-1.0, 1.0))
+    b2 = complex(rng.uniform(0.1, 0.6), rng.uniform(0.3, 0.8))
+    argvs["product"].append(["eval", "gb", token(x), "--b2", token(b2)])
+    p = from_r(float(rng.choice((0.1, 0.05, 0.025, 1e-3))))
+    x = complex(p.b * complex(rng.uniform(0.6, 3.0), rng.uniform(-0.5, 0.5)))
+    argvs["limit"].append(["eval", "gb", token(x), "--b2", token(complex(p.b2))])
+times = {kind: [] for kind in argvs}
+sink = io.StringIO()
+with contextlib.redirect_stdout(sink):
+    cli.main(["eval", "gb", "0.5", "--b", "0.8"])  # the warm-up perfbench's gb-eval runs
+    for _ in range(int(sys.argv[1])):
+        for kind, batch in argvs.items():
+            for argv in batch:
+                t0 = time.perf_counter()
+                code = cli.main(argv)
+                times[kind].append(time.perf_counter() - t0)
+                assert code == 0, argv
+                sink.seek(0)
+                sink.truncate()
+out = {kind: statistics.median(t) for kind, t in times.items()}
+out["all"] = statistics.median([t for ts in times.values() for t in ts])
+print(json.dumps(out))
+"""
 # One child of the node count: integrand nodes per adaptive intertwiner_forward call,
 # counted through the integrand that axb hands to integrate_contour.
 NODE_TS = (0.2, 0.3, 0.5, 1.0)
@@ -106,6 +151,34 @@ def forward_nodes(root: Path) -> dict:
                           env={**os.environ, **ENV, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def eval_latency(roots: dict) -> dict:
+    """In-process and fresh-interpreter seconds of a single ``qplane eval``, best per side."""
+    env = {side: {**os.environ, **ENV, "PYTHONPATH": str(root / "src")} for side, root in roots.items()}
+    inproc = {side: {} for side in roots}
+    for i in range(EVAL_ROUNDS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            proc = subprocess.run([sys.executable, "-c", EVAL_CHILD, str(EVAL_REPEATS)], env=env[side],
+                                  capture_output=True, text=True, check=True)
+            for kind, t in json.loads(proc.stdout).items():
+                inproc[side][kind] = min(inproc[side].get(kind, float("inf")), t)
+    fresh = {side: float("inf") for side in roots}
+    for i in range(FRESH_RUNS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-m", "qplane.cli", *FRESH_ARGV], env=env[side],
+                           capture_output=True, check=True)
+            fresh[side] = min(fresh[side], time.perf_counter() - t0)
+    result = {
+        "in_process": {"unit": "s per cli.main call, median", "rounds": EVAL_ROUNDS,
+                       "calls_per_kind": 20 * EVAL_REPEATS, **inproc,
+                       "ratio": {k: inproc["change"][k] / inproc["parent"][k] for k in inproc["parent"]}},
+        "fresh_interpreter": {"unit": "s per run, best", "argv": FRESH_ARGV, "runs": FRESH_RUNS,
+                              **fresh, "ratio": fresh["change"] / fresh["parent"]},
+    }
+    print(f"eval latency: {result}", flush=True)
+    return result
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
@@ -198,6 +271,7 @@ def main(argv=None) -> int:
         "parent": args.parent_label, "change": args.change_label,
         "nproc": os.cpu_count(), "seconds": SECONDS, "seeds": SEEDS,
         "order": "per seed back to back, parent first on even-indexed seeds",
+        "eval_latency": eval_latency(roots),
         "size_sweep": {"sizes": SWEEP_SIZES, "rounds": SWEEP_ROUNDS, "unit": "s per gb_many call",
                        **size_sweep(roots)},
         "end_to_end": {w: pairs(roots, w, SEEDS, SECONDS) for w in WORKLOADS},

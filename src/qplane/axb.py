@@ -210,26 +210,32 @@ class _Kernel(NamedTuple):
         norm = self.norm(s)
         return lambda u: self.pair(u - s, u) / norm
 
-    def point(self, kind: str, lam, t1, t2) -> complex:
-        """The forward ('floor') or inverse ('ceil') kernel at one point, t = t1 + t2:
+    @staticmethod
+    def point_args(kind: str, lam, t1, t2) -> tuple:
+        """(x, y, s) with the kernel of kind at (lam, t1, t2), t = t1 + t2, equal
+        to K(i x) K(-i y) / K(-i s) times its phase over scale:
 
         floor: K(i lam - i t1) K(-i t2 - i lam) / K(-i t) times the forward phase,
-        ceil:  K(i t2 + i lam) K(-i lam + i t1) / K(i t) times the inverse phase,
+        ceil:  K(i t2 + i lam) K(-i lam + i t1) / K(i t) times the inverse phase.
 
-        over scale.  The arguments are formed as lam - t1 and t2 + lam, not
-        from the centered variable, so the floor/ceil symmetries hold exactly.
+        The arguments are formed as lam - t1 and t2 + lam, not from the
+        centered variable, so the floor/ceil symmetries hold exactly.
         """
         t = t1 + t2
         if kind == "floor":
-            val = self.pair(lam - t1, t2 + lam) / self.norm(t)
-            if self.forward_phase:
-                val = val * self.forward_phase(lam, t2 + lam, t)
-        elif kind == "ceil":
-            val = self.pair(t2 + lam, lam - t1) / self.norm(-t)
-            if self.inverse_phase:
-                val = val * self.inverse_phase(lam, t1, t2)
-        else:
-            raise DomainError(f"unknown kernel kind {kind!r}")
+            return lam - t1, t2 + lam, t
+        if kind == "ceil":
+            return t2 + lam, lam - t1, -t
+        raise DomainError(f"unknown kernel kind {kind!r}")
+
+    def point(self, kind: str, lam, t1, t2) -> complex:
+        """The forward ('floor') or inverse ('ceil') kernel at one point (see point_args)."""
+        x, y, s = self.point_args(kind, lam, t1, t2)
+        val = self.pair(x, y) / self.norm(s)
+        if kind == "floor" and self.forward_phase:
+            val = val * self.forward_phase(lam, y, s)
+        elif kind == "ceil" and self.inverse_phase:
+            val = val * self.inverse_phase(lam, t1, t2)
         return complex(np.squeeze(val / self.scale))
 
 

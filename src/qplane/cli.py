@@ -9,7 +9,9 @@ byte-identical JSON/CSV.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -36,16 +38,17 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # main prints the message and returns 64, also when called in process
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(USAGE_EXIT)
+        raise _UsageError(message)
 
 
 _Q_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*Q\s*(?:/\s*(\d+\.?\d*))?$")
 
 
 def parse_complex(token: str, p: ModularParam | None = None) -> complex:
-    """Parse '0.3+0.4i', '1.2', '-0.5i', or 'Q/2'-style symbolic values."""
+    """Parse '0.3+0.4i', '1.2', '-0.5i', or 'Q/2'-style symbolic values; a
+    NaN or infinite part is a domain error."""
     token = token.strip()
     m = _Q_RE.match(token)
     if m:
@@ -56,9 +59,12 @@ def parse_complex(token: str, p: ModularParam | None = None) -> complex:
         div = float(m.group(2)) if m.group(2) else 1.0
         return complex(mult * p.Q / div)
     try:
-        return complex(token.replace("i", "j"))
+        value = complex(token.replace("i", "j"))
     except ValueError as exc:
         raise DomainError(f"cannot parse complex value {token!r}") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"non-finite value {token!r}")
+    return value
 
 
 def _tol(token: str) -> float:
@@ -134,13 +140,15 @@ def _cmd_eval(args) -> int:
         value, err = _hyp2f1_contour(*vals, tol)
         backend = "contour"
     elif fn == "qkernel":
-        value = qtransform.q_kernel(args.kind or "F_floor_star", vals, p, tol)
+        res = qtransform.q_kernel_value(args.kind or "F_floor_star", vals, p, tol)
+        value, backend, err = res.value, res.backend, res.err_estimate
     elif bad := [t for t, v in zip(args.args, vals) if v.imag]:  # ckernel, coaction-kernel
         raise DomainError(f"{fn} takes real values, got {bad[0]!r}")
     elif fn == "ckernel":
         value = axb.classical_kernel(args.kind or "floor", *[v.real for v in vals])
     else:
-        value, _ = corep.coaction_kernel(vals[0].real, vals[1].real, p, tol)
+        res = corep.coaction_kernel_value(vals[0].real, vals[1].real, p, tol)
+        value, backend, err = res.value, res.backend, res.err_estimate
     record = {
         "function": fn,
         "args": [_c2j(v) for v in vals],
@@ -323,10 +331,16 @@ def build_parser() -> _Parser:
     return ap
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser main uses, built on its first call (parse_args keeps no
+    state between calls: each returns a new namespace)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)  # a bad --tol raises _UsageError here
+        args = _parser().parse_args(argv)  # a bad command line or --tol raises _UsageError here
         return args.fn(args)
     except (DomainError, QuadratureError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")

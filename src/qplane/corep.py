@@ -25,7 +25,7 @@ from .contours import residue_consistent
 from .errors import DomainError
 from .gammafn import gamma
 from .modular import ModularParam, from_r
-from .qdilog import gb, gb_many
+from .qdilog import QDValue, _factor_estimate, gb, gb_many
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,14 @@ def coaction_kernel(x: float, t: float, p: ModularParam,
         raise DomainError("kernel pole at t = x (the contour passes above it)")
     scalar = _scaled_coaction_kernel(x / p.b, t / p.b, p, tol)
     return scalar, NormalOrderedMonomial(complex(x), complex(t - x))
+
+
+def coaction_kernel_value(x: float, t: float, p: ModularParam, tol: float = 1e-10) -> QDValue:
+    """coaction_kernel's scalar with the backend of its one G_b factor,
+    G_b(i x - i t) as the rescaled kernel forms it, and that factor's relative
+    error estimate times the scalar's modulus."""
+    scalar, _ = coaction_kernel(x, t, p, tol)
+    return _factor_estimate(scalar, [1j * p.b * (x / p.b - t / p.b)], p, tol)
 
 
 def coproduct_kernel(x: float, w: float, z: float, p: ModularParam,

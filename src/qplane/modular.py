@@ -12,6 +12,7 @@ Two regimes are supported:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class ModularParam:
     def __post_init__(self):
         if self.regime not in ("product", "integral"):
             raise DomainError(f"unknown regime {self.regime!r}")
+        if not cmath.isfinite(self.b):  # a NaN b would make G_b's shift counts unbounded
+            raise DomainError(f"b must be finite, got {self.b}")
         b2 = self.b * self.b
         if self.regime == "integral":
             if abs(self.b.imag) > 1e-14 or self.b.real <= 0:

@@ -269,14 +269,20 @@ def _finite_args(x) -> np.ndarray:
     return xx
 
 
-def gb_many(x, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
-    """Vectorized G_b(x); the workhorse behind every kernel evaluation."""
+def _gb_eval(x, p: ModularParam, tol: float) -> tuple[np.ndarray, float, str]:
+    """G_b on a batch: the values, the backend's relative error estimate and
+    the backend's name."""
     xx = _finite_args(x)
     if p.regime == "product":
-        vals, _ = _gb_product_many(xx, p, tol)
-    else:
-        vals, _, _ = _gb_integral_many(xx, p, tol)
-    return vals
+        vals, tail = _gb_product_many(xx, p, tol)
+        return vals, tail, "product"
+    vals, err, shifted = _gb_integral_many(xx, p, tol)
+    return vals, err, "functional-continuation" if shifted else "integral"
+
+
+def gb_many(x, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
+    """Vectorized G_b(x); the workhorse behind every kernel evaluation."""
+    return _gb_eval(x, p, tol)[0]
 
 
 def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
@@ -289,14 +295,23 @@ def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     comes out (numerically exactly) zero.  A non-finite argument raises
     DomainError.
     """
-    xx = _finite_args(x)
-    if p.regime == "product":
-        vals, tail = _gb_product_many(xx, p, tol)
-        return QDValue(complex(vals[0]), "product", tail * abs(complex(vals[0])))
-    vals, err, shifted = _gb_integral_many(xx, p, tol)
+    vals, err, backend = _gb_eval(x, p, tol)
     v = complex(vals[0])
-    backend = "functional-continuation" if shifted else "integral"
     return QDValue(v, backend, err * abs(v))
+
+
+def _factor_estimate(value: complex, zs, p: ModularParam, tol: float) -> QDValue:
+    """value, a product or quotient of G_b at the points zs and exact factors,
+    with the G_b backend and an error estimate: the factors' relative
+    estimates add.  Each G_b is evaluated once more, one point per call as the
+    kernels evaluate it, so its estimate is the one of the factor in value."""
+    rel, backends = 0.0, set()
+    for z in zs:
+        _, err, backend = _gb_eval(z, p, tol)
+        rel += err
+        backends.add(backend)
+    backend = "functional-continuation" if "functional-continuation" in backends else backends.pop()
+    return QDValue(complex(value), backend, rel * abs(value))
 
 
 def gb_product(x, p: ModularParam, tol: float = 1e-10) -> QDValue:

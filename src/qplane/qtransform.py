@@ -28,7 +28,7 @@ from .axb import _forward, _inverse, _Kernel, _separating_contour, classical_ker
 from .contours import path_clear_of
 from .errors import DomainError
 from .modular import ModularParam, from_r
-from .qdilog import gb, gb_many
+from .qdilog import QDValue, _factor_estimate, gb, gb_many
 
 _TRUNCATION = 6.0  # half-length of the quantum transforms' separating contour
 
@@ -85,25 +85,39 @@ def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
     """
     if kind in _POSITION_KINDS:
         alpha, x, x1, x2 = (complex(v) for v in args)
+        g = [gb(z, p, tol).value for z in _gb_args(kind, args, p)]
         if kind in ("floor", "floor_star"):
-            base = p.zeta_b_bar * np.exp(2j * np.pi * (x - x1) * (x2 - x1 + alpha)) \
-                / gb(p.Q + 1j * x - 1j * x2, p, tol).value
+            base = p.zeta_b_bar * np.exp(2j * np.pi * (x - x1) * (x2 - x1 + alpha)) / g[0]
             if kind == "floor":
                 return complex(base)
-            star = p.zeta_b_bar * np.exp(-1j * np.pi * (x - x1) ** 2) \
-                / gb(p.Q / 2 + 1j * alpha, p, tol).value
+            star = p.zeta_b_bar * np.exp(-1j * np.pi * (x - x1) ** 2) / g[1]
             return complex(star * base)
-        base = p.zeta_b * np.exp(-2j * np.pi * (x - x1) * (x2 - x1 + alpha)) \
-            * gb(1j * x - 1j * x2, p, tol).value
+        base = p.zeta_b * np.exp(-2j * np.pi * (x - x1) * (x2 - x1 + alpha)) * g[0]
         if kind == "ceil":
             return complex(base)
-        star = p.zeta_b * np.exp(1j * np.pi * (x - x1) ** 2) \
-            * gb(p.Q / 2 + 1j * alpha, p, tol).value
+        star = p.zeta_b * np.exp(1j * np.pi * (x - x1) ** 2) * g[1]
         return complex(star * base)
 
     if kind in _FOURIER_KINDS:
         return _gb_kernel(p, tol).point(_FOURIER_KINDS[kind], *(complex(v) for v in args))
     raise DomainError(f"unknown kernel kind {kind!r}")
+
+
+def _gb_args(kind: str, args, p: ModularParam) -> list[complex]:
+    """The points at which q_kernel evaluates its G_b factors."""
+    if kind in _FOURIER_KINDS:
+        x, y, s = _Kernel.point_args(_FOURIER_KINDS[kind], *(complex(v) for v in args))
+        return [1j * x, -1j * y, -1j * s]
+    alpha, x, x1, x2 = (complex(v) for v in args)
+    zs = [p.Q + 1j * x - 1j * x2 if kind.startswith("floor") else 1j * x - 1j * x2]
+    return zs + [p.Q / 2 + 1j * alpha] if kind.endswith("_star") else zs
+
+
+def q_kernel_value(kind: str, args, p: ModularParam, tol: float = 1e-10) -> QDValue:
+    """q_kernel with the backend of its G_b factors and an error estimate: the
+    factors' relative error estimates, which add over the product and quotient,
+    times the kernel's modulus."""
+    return _factor_estimate(q_kernel(kind, args, p, tol), _gb_args(kind, args, p), p, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qplane import cli
 from qplane.cli import main, parse_complex
 from qplane.errors import DomainError
 from qplane.modular import from_b
@@ -97,11 +98,15 @@ def test_usage_exit_code():
     (("eval", "gb", "0.5", "--b", "0.8", "--tol", "-1"), 64),
     (("eval", "gb", "0.5", "--b", "0.8", "--tol", "nan"), 64),
     (("verify", "q-binomial", "--tol", "inf"), 64),
+    (("eval", "gamma", "nan"), 2),
+    (("eval", "fb", "0.4", "0.6", "0.5", "nan", "--b", "0.8"), 2),
+    (("eval", "gb", "0.5+nani", "--b", "0.8"), 2),
+    (("eval", "hyp2f1", "0.3", "1", "2", "nan"), 2),
 ])
 def test_bad_invocation_exit_codes(tmp_path, argv, code):
     # a wrong value count or a --tol that is not a positive finite number is a
-    # usage error, an unknown kind or unparsable transform input a domain
-    # error: an exit code and one line, no traceback
+    # usage error, an unknown kind, unparsable transform input or a non-finite
+    # value a domain error: an exit code and one line, no traceback
     truncated = tmp_path / "truncated.json"
     truncated.write_text((DATA / "gaussian_forward.json").read_text()[:60])
     argv = [a.format(truncated=truncated, out=tmp_path / "o.json") for a in argv]
@@ -110,6 +115,8 @@ def test_bad_invocation_exit_codes(tmp_path, argv, code):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if argv[0] == "transform":
         assert "transform input schema violation" in err
+    if code == 2 and (bad := [a for a in argv if "nan" in a]):
+        assert err == f"domain error: non-finite value {bad[0]!r}\n"
 
 
 def test_verify_determinism(tmp_path):
@@ -243,3 +250,58 @@ def test_main_entrypoint_inprocess(capsys):
     assert main(["eval", "gamma", "2.0"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert abs(rec["value"]["re"] - 1.0) < 1e-12
+
+
+def test_usage_error_returns_64_in_process(capsys):
+    assert main(["eval"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qplane eval") and "error: the following arguments" in err
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    # main reuses one parser for the process: each in-process call must print
+    # what a fresh interpreter prints for the same argv, whatever came before
+    monkeypatch.setenv("COLUMNS", "80")  # the usage lines wrap at the terminal width
+    out_path = str(tmp_path / "eval.json")
+    sequence = [
+        ["eval", "qkernel", "0.3", "0.8", "1.1", "--b", "0.8", "--kind", "F_ceil_star"],
+        ["eval", "qkernel", "0.3", "0.8", "1.1", "--b", "0.8"],
+        ["eval", "gb", "0.5", "--b", "0.8", "--json"],
+        ["eval", "gb", "0.5", "--b", "0.8"],
+        ["eval", "gamma", "0.5", "--out", out_path],
+        ["eval", "gamma", "0.5"],
+        ["eval", "gb", "0.5", "--b2", "0.3+0.4i", "--tol", "1e-6"],
+        ["eval", "gb", "0.5", "--b2", "0.3+0.4i"],
+        ["eval", "gb", "0.5", "--b", "0.8", "--nope"],
+        ["eval", "coaction-kernel", "0.3", "0.8", "--b", "0.8"],
+    ]
+    for argv in sequence:
+        expected = run_cli(*argv)
+        written = Path(out_path).read_bytes() if "--out" in argv else None
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected, argv
+        if written is not None:
+            assert Path(out_path).read_bytes() == written
+    assert cli._parser.cache_info().misses <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("qkernel", "0.3", "0.8", "1.1", "--b", "0.8"),
+    ("qkernel", "0.3", "0.8", "1.1", "--b", "0.8", "--kind", "F_ceil_star"),
+    ("qkernel", "0.3", "0.8", "1.1", "0.2", "--b", "0.8", "--kind", "floor_star"),
+    ("qkernel", "0.3", "0.8", "1.1", "--b2", "0.3+0.4i"),
+    ("coaction-kernel", "0.3", "0.8", "--b", "0.8"),
+    ("coaction-kernel", "0.3", "3.8", "--b", "1.2"),
+])
+def test_kernel_err_estimate_bounds_the_error(capsys, argv):
+    def run(tol):
+        assert main(["eval", *argv, "--tol", str(tol)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        return complex(rec["value"]["re"], rec["value"]["im"]), rec["err_estimate"], rec["backend"]
+
+    ref, _, _ = run(1e-13)
+    for tol in (1e-8, 1e-10):
+        value, err, backend = run(tol)
+        assert backend in ("integral", "functional-continuation", "product")
+        assert 0 < err and abs(value - ref) <= err + 1e-13 * abs(value)

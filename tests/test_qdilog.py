@@ -299,3 +299,11 @@ def test_gb_rejects_non_finite_arguments(x):
 def test_gb_many_names_the_first_non_finite_index():
     with pytest.raises(DomainError, match="index 2"):
         qd.gb_many(np.array([0.5, 0.6, np.nan, np.inf]), P08)
+
+
+@pytest.mark.parametrize("make, b", [(from_b, float("nan")), (from_b, float("inf")),
+                                     (from_b2, complex(0.3, float("nan")))])
+def test_non_finite_parameter_is_a_domain_error(make, b):
+    # a NaN b passed the regime checks and then hung gb like a NaN argument
+    with pytest.raises(DomainError, match="b must be finite"):
+        make(b)
