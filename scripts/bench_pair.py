@@ -25,8 +25,9 @@ interquartile range of the parent's runs.  Then each checkout runs
 every per-layer metric that ``BENCHMARK.json`` lists, and each suite in
 VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
 interpreter.  Last, each checkout counts the integrand nodes of one adaptive
-``axb.intertwiner_forward`` call at each t in NODE_TS (deterministic).  A
-full run takes about 45 minutes.
+``axb.intertwiner_forward`` call at each t in NODE_TS (deterministic), and
+its lines per ``src/qplane`` module (``src_lines``), so the net-lines figure
+comes from the same file as the timings.  A full run takes about 45 minutes.
 """
 
 import argparse
@@ -151,6 +152,12 @@ def forward_nodes(root: Path) -> dict:
                           env={**os.environ, **ENV, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def src_lines(root: Path) -> dict:
+    """Lines per ``src/qplane/*.py`` module, and their total."""
+    lines = {p.name: len(p.read_text().splitlines()) for p in sorted((root / "src/qplane").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def eval_latency(roots: dict) -> dict:
@@ -283,6 +290,7 @@ def main(argv=None) -> int:
                    for suite in VERIFY_SUITES},
         "forward_nodes": {"lam": 0.4, "tol": 1e-9,
                           **{side: forward_nodes(root) for side, root in roots.items()}},
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
     }
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return 0

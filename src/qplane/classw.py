@@ -6,8 +6,8 @@ rapid decay on horizontal lines, and the class is closed under the Fourier
 transform  (F f)(xi) = int f(x) e^{-2 pi i x xi} dx  -- computed here exactly
 by completing the square and a Hermite-type derivative recursion.
 
-Also hosts the numerical Mellin transform pair and the Parseval residual on
-the half line.
+Also hosts the numerical Mellin transform on the half line, vectorized over
+complex s, which the classical ax+b checks use.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .contours import _panels, integrate_line
 from .errors import DomainError, QuadratureError
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def fourier_classW(f: ClassWFunction) -> ClassWFunction:
 
 
 # ---------------------------------------------------------------------------
-# Mellin transform machinery (half-line, double-exponential nodes)
+# Mellin transform (half-line, double-exponential nodes)
 
 
 def _de_nodes(h: float, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -189,79 +188,3 @@ def mellin_forward(
         h /= 2
     raise QuadratureError("Mellin quadrature did not converge (decay assumption violated?)")
 
-
-def mellin_inverse(
-    phi: Callable[[np.ndarray], np.ndarray],
-    x: float,
-    c: float,
-    tol: float = 1e-10,
-    truncation: float = 40.0,
-) -> complex:
-    """Inverse Mellin transform (1/2pi) int x^{-(c+it)} phi(c+it) dt over the line Re s = c."""
-    if not x > 0:
-        raise DomainError("inverse Mellin evaluation point must be positive")
-    lx = np.log(x)
-
-    def g(t):
-        s = c + 1j * t
-        return np.exp(-s * lx) * np.asarray(phi(s), dtype=complex)
-
-    val = integrate_line(g, truncation, tol=tol).value
-    return val / (2 * np.pi)
-
-
-def parseval_residual(
-    f: Callable[[np.ndarray], np.ndarray],
-    sigma: float,
-    tol: float = 1e-10,
-) -> float:
-    """Residual of the Mellin-Plancherel identity on the line Re s = sigma:
-
-    ``int_0^inf |f(x)|^2 x^{2 sigma - 1} dx = (1/2pi) int |Mf(sigma+it)|^2 dt``,
-
-    with the right side truncated to |t| <= 60.  (The weight reduces to
-    plain |f|^2 dx at sigma = 1/2.)
-    """
-    width = float(np.arcsinh(340.0 / max(1.0, abs(sigma))))
-    h = 0.25
-    lhs = prev = None
-    for _ in range(6):
-        u, wts = _de_nodes(h, min(7.5, width))
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            fx = np.asarray(f(np.exp(u)), dtype=complex)
-            lhs = float(np.sum(wts * np.abs(fx) ** 2 * np.exp(2 * sigma * u)).real)
-        if not np.isfinite(lhs):
-            raise DomainError("half-line integrand not finite")
-        if prev is not None and abs(lhs - prev) <= 0.1 * tol * max(1.0, abs(lhs)):
-            break
-        prev = lhs
-        h /= 2
-
-    # right side: quadrature over t with Mf evaluated in one vectorized sweep;
-    # on the line the transform is a Fourier integral of f(e^u) e^{sigma u},
-    # so the u-rule resolution must track the largest |t|
-    t_nodes, half, wg = _panels(-60.0, 60.0, 240, 12)
-    t_wts = wg * half
-    mf = _mellin_line_batch(f, sigma, t_nodes)
-    rhs = float(np.sum(t_wts * np.abs(mf) ** 2).real / (2 * np.pi))
-    return abs(lhs - rhs)
-
-
-def _mellin_line_batch(f, sigma: float, t_nodes: np.ndarray) -> np.ndarray:
-    """Mf(sigma + i t) on a batch of real t, by panel quadrature in u = log x."""
-    t_max = float(np.max(np.abs(t_nodes)))
-    u_r = min(60.0, 620.0 / max(1.0, sigma))
-    u_l = 40.0 / max(0.25, sigma)
-    h = min(0.5, 3.0 / max(1.0, t_max))
-    u, half, wg = _panels(-u_l, u_r, int(np.ceil((u_r + u_l) / h)), 12)
-    w = wg * half
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        g = np.asarray(f(np.exp(u)), dtype=complex) * np.exp(sigma * u) * w
-        out = np.empty(t_nodes.shape, dtype=complex)
-        chunk = max(16, int(4e6 / u.size))
-        for i0 in range(0, t_nodes.size, chunk):
-            tt = t_nodes[i0:i0 + chunk]
-            out[i0:i0 + chunk] = g @ np.exp(1j * np.outer(u, tt))
-    if not np.all(np.isfinite(out)):
-        raise DomainError("half-line integrand not finite")
-    return out

@@ -36,11 +36,19 @@ class _UsageError(Exception):
     """A well-formed command line with the wrong number of values."""
 
 
+class _Exit(Exception):
+    """The end of a command line that argparse handles itself (-h/--help)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # main prints the message and returns 64, also when called in process
         self.print_usage(sys.stderr)
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # -h/--help end here, after printing: main returns the status, also in process
+        raise _Exit(status)
 
 
 _Q_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*Q\s*(?:/\s*(\d+\.?\d*))?$")
@@ -110,6 +118,7 @@ _ARITY = {"gamma": 1, "gb": 1, "sb": 1, "gb_small": 1, "veta": 1, "ruijsenaars_g
           "fb": 4, "hyp2f1": 4, "ckernel": 3, "qkernel": 3, "coaction-kernel": 2}
 
 
+@np.errstate(all="ignore")  # a non-finite result is reported below, not warned about
 def _cmd_eval(args) -> int:
     p = _parse_param(args)
     vals = [parse_complex(t, p) for t in args.args]
@@ -149,6 +158,9 @@ def _cmd_eval(args) -> int:
     else:
         res = corep.coaction_kernel_value(vals[0].real, vals[1].real, p, tol)
         value, backend, err = res.value, res.backend, res.err_estimate
+    if not (cmath.isfinite(value) and math.isfinite(err)):  # never print NaN, which is not JSON
+        raise DomainError(f"{fn} is not finite here: value {complex(value)}, "
+                          f"err_estimate {float(err)}")
     record = {
         "function": fn,
         "args": [_c2j(v) for v in vals],
@@ -342,12 +354,14 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)  # a bad command line or --tol raises _UsageError here
         return args.fn(args)
-    except (DomainError, QuadratureError) as exc:
+    except (DomainError, QuadratureError, OverflowError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return DOMAIN_EXIT
     except (FileNotFoundError, _UsageError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
+    except _Exit as exc:
+        return exc.args[0]
 
 
 if __name__ == "__main__":

@@ -5,11 +5,14 @@ slope, which restores Gaussian decay for Fresnel-type integrands) truncated
 to ``|Re z| <= T``, with explicit semicircular detours around poles that sit
 on or near the line.  Integrands must be vectorized: ``f(z: ndarray) -> ndarray``.
 
-``integrate_contour`` is locally adaptive: every panel carries the
+Both contour rules map their nodes onto one panel table, ``_base_panels``:
+equal panels per piece, doubled in number at each fixed level.
+``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
-others are bisected, so each node is evaluated once.  ``contour_nodes`` gives
-the fixed composite Gauss-Legendre grids that the tensor transforms use.
+others are bisected, so each node is evaluated once.  ``contour_nodes`` puts
+the 12-point Gauss-Legendre rule on every panel of a fixed level: the grids
+that the tensor transforms use.
 Full circles (residue extraction) use the periodic trapezoid rule, which is
 spectrally accurate for analytic integrands.
 """
@@ -17,7 +20,6 @@ spectrally accurate for analytic integrands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,8 +27,6 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 
 ComplexFn = Callable[[np.ndarray], np.ndarray]
-
-_GL_ORDER = 12  # Gauss-Legendre nodes per panel of a contour
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,6 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=32)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _frozen(*np.polynomial.legendre.leggauss(order))
-
-
 def _gk21_rule() -> tuple[np.ndarray, np.ndarray]:
     """The 21-point Kronrod extension of the 10-point Gauss rule on [-1, 1]
     (QUADPACK ``qk21``): the nodes in ascending order, and a (21, 2) weight
@@ -137,6 +132,7 @@ def _gk21_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 _GK21 = _gk21_rule()
+_GL12 = _frozen(*np.polynomial.legendre.leggauss(12))  # the rule of contour_nodes' panels
 _ROUNDING = 50 * np.finfo(float).eps  # QUADPACK's rounding floor, per unit of sum |w f|
 
 
@@ -191,23 +187,6 @@ def _pieces(contour: Contour) -> list[tuple]:
     return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
 
 
-@lru_cache(maxsize=64)
-def _panels(lo: float, hi: float, n_pan: int, order: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Composite Gauss-Legendre rule of ``n_pan`` equal panels on [lo, hi].
-
-    Returns the nodes, the panel half-width and the reference weights tiled
-    over the panels; the rule's weights are ``half * weights``.  Cached, so
-    the adaptive levels of every integral reuse their rules: the arrays are
-    read-only.
-    """
-    x, w = _gl_rule(order)
-    edges = np.linspace(lo, hi, n_pan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes, weights = _frozen((mid[:, None] + half * x[None, :]).ravel(), np.tile(w, n_pan))
-    return nodes, half, weights
-
-
 def _n_panels(piece: tuple, max_panel: float) -> int:
     """Base panel count of a piece: ceil(length / max_panel) on a segment, 2 on an arc."""
     if piece[0] == "seg":
@@ -215,34 +194,26 @@ def _n_panels(piece: tuple, max_panel: float) -> int:
     return 2
 
 
-def _piece_nodes(pieces: list[tuple], level: int, max_panel: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the pieces with 2**level times the base panel count."""
-    nodes, weights = [], []
-    for p in pieces:
-        n_pan = _n_panels(p, max_panel) * 2**level
-        if p[0] == "seg":
-            _, z0, z1 = p
-            tt, half, w = _panels(0.0, 1.0, n_pan, _GL_ORDER)
-            nodes.append(z0 + (z1 - z0) * tt)
-            weights.append((z1 - z0) * half * w)
-        else:
-            _, ctr, R, th0, th1 = p
-            th, half, w = _panels(th0, th1, n_pan, _GL_ORDER)
-            nodes.append(ctr + R * np.exp(1j * th))
-            weights.append(1j * R * np.exp(1j * th) * half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple[np.ndarray, ...]:
+    """The panel table of the pieces, which every contour rule maps its nodes onto.
 
-
-def _base_panels(pieces: list[tuple], max_panel: float) -> tuple[np.ndarray, ...]:
-    """The level-0 panels of ``_piece_nodes`` as arrays (a, b, arc, mid, half):
-    z = a + b s on a segment (s in [0, 1]), a + b e^{i s} on an arc (b = R),
-    with s = mid + half x on the panel."""
-    n_pan = [_n_panels(p, max_panel) for p in pieces]
-    ends = np.array([(0.0, 1.0) if p[0] == "seg" else p[3:] for p in pieces])
+    A piece gets ``_n_panels * 2**level`` equal panels over its parameter
+    range: s in [0, 1] on a segment (z = a + b s), th in [th0, th1] on an arc
+    (z = a + b e^{i th}, b = R).  The edges are where ``np.linspace`` puts
+    them: lo + k (hi - lo) / n, the last at hi.  Returns arrays (a, b, arc,
+    mid, half) with one entry per panel; the panel is s = mid + half x, x in
+    [-1, 1], with the half-width of the piece's first panel.
+    """
+    n_pan = np.array([_n_panels(p, max_panel) for p in pieces]) * 2**level
+    lo, hi = np.array([(0.0, 1.0) if p[0] == "seg" else p[3:] for p in pieces]).T
+    first = np.cumsum(n_pan) - n_pan
     idx = np.repeat(np.arange(len(pieces)), n_pan)
-    k = np.arange(idx.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    half = (0.5 * (ends[:, 1] - ends[:, 0]) / n_pan)[idx]
-    mid = ends[idx, 0] + (2 * k + 1) * half
+    k = np.arange(idx.size) - first[idx]
+    step = ((hi - lo) / n_pan)[idx]
+    left = k * step + lo[idx]
+    right = np.where(k + 1 == n_pan[idx], hi[idx], (k + 1) * step + lo[idx])
+    mid = 0.5 * (left + right)
+    half = (0.5 * (right - left)[first])[idx]
     a = np.array([p[1] for p in pieces], dtype=complex)[idx]
     b = np.array([p[2] - p[1] if p[0] == "seg" else p[2] for p in pieces], dtype=complex)[idx]
     arc = np.array([p[0] == "arc" for p in pieces])[idx]
@@ -252,12 +223,21 @@ def _base_panels(pieces: list[tuple], max_panel: float) -> tuple[np.ndarray, ...
 def contour_nodes(
     contour: Contour, level: int = 0, max_panel: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes and weights for the contour at a fixed refinement level.
+    """Quadrature nodes and weights for the contour at a fixed refinement level:
+    the 12-point Gauss-Legendre rule on every panel of ``_base_panels``.
 
     ``sum(w * f(z))`` approximates the contour integral; used by transform
     routines that batch integrand evaluation over tensor grids.
     """
-    return _piece_nodes(_pieces(contour), level, max_panel)
+    x, w = _GL12
+    a, b, arc, mid, half = _base_panels(_pieces(contour), max_panel, level)
+    s = mid[:, None] + half[:, None] * x
+    z = a[:, None] + b[:, None] * s
+    dz = np.repeat(b[:, None], x.size, axis=1)
+    e = np.exp(1j * s[arc])
+    z[arc] = a[arc, None] + b[arc, None] * e
+    dz[arc] = 1j * b[arc, None] * e
+    return z.ravel(), (dz * half[:, None] * w).ravel()
 
 
 def integrate_contour(
@@ -269,9 +249,9 @@ def integrate_contour(
 ) -> QuadResult:
     """Integrate ``f`` along the contour by locally adaptive Gauss-Kronrod panels.
 
-    The base panels are those of ``contour_nodes`` at level 0: ``ceil(len /
-    max_panel)`` per segment (``z0 + (z1 - z0) s``, s in [0, 1]) and 2 per arc
-    (``c + R e^{i th}``).  Each round evaluates ``f`` once on the 21 Kronrod
+    The base panels are the level-0 ``_base_panels``, those of ``contour_nodes``
+    at level 0: ``ceil(len / max_panel)`` per segment (``z0 + (z1 - z0) s``,
+    s in [0, 1]) and 2 per arc (``c + R e^{i th}``).  Each round evaluates ``f`` once on the 21 Kronrod
     nodes of every active panel; a panel is kept when its 21- and 10-point
     values differ by at most ``tol`` times its share of the contour's length
     (or by no more than the rounding of its sums, 50 eps sum |w f|), and is

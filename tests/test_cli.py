@@ -102,16 +102,18 @@ def test_usage_exit_code():
     (("eval", "fb", "0.4", "0.6", "0.5", "nan", "--b", "0.8"), 2),
     (("eval", "gb", "0.5+nani", "--b", "0.8"), 2),
     (("eval", "hyp2f1", "0.3", "1", "2", "nan"), 2),
+    (("eval", "gamma", "200"), 2),
+    (("eval", "gb", "0.5", "--b2", "0.00025i"), 2),
 ])
 def test_bad_invocation_exit_codes(tmp_path, argv, code):
     # a wrong value count or a --tol that is not a positive finite number is a
     # usage error, an unknown kind, unparsable transform input or a non-finite
-    # value a domain error: an exit code and one line, no traceback
+    # value or result a domain error: an exit code and one line, no traceback
     truncated = tmp_path / "truncated.json"
     truncated.write_text((DATA / "gaussian_forward.json").read_text()[:60])
     argv = [a.format(truncated=truncated, out=tmp_path / "o.json") for a in argv]
-    got, _, err = run_cli(*argv)
-    assert got == code
+    got, out, err = run_cli(*argv)
+    assert got == code and "NaN" not in out
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     if argv[0] == "transform":
         assert "transform input schema violation" in err
@@ -256,6 +258,15 @@ def test_usage_error_returns_64_in_process(capsys):
     assert main(["eval"]) == 64
     err = capsys.readouterr().err
     assert err.startswith("usage: qplane eval") and "error: the following arguments" in err
+
+
+def test_help_returns_0_in_process(capsys, monkeypatch):
+    # -h prints the help a fresh interpreter prints and returns, not exits
+    monkeypatch.setenv("COLUMNS", "80")  # the help wraps at the terminal width
+    expected = run_cli("eval", "-h")
+    assert (main(["eval", "-h"]), *capsys.readouterr()) == expected
+    assert expected[0] == 0 and expected[1].startswith("usage: qplane eval")
+    assert main(["--help"]) == 0 and "verify" in capsys.readouterr().out
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):

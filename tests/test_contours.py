@@ -226,26 +226,41 @@ def test_fixed_node_grids_unchanged():
         complex(float.fromhex(re), float.fromhex(im)) for re, im in GRID_PINS]
 
 
-def test_panel_rules_are_cached_read_only():
-    nodes, _, weights = contours._panels(0.0, 1.0, 8, 12)
-    assert not nodes.flags.writeable and not weights.flags.writeable
-    with pytest.raises(ValueError):
-        nodes[0] = 0.0
-    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
-    z, w = contour_nodes(cont, level=1)
-    z0, w0 = z.copy(), w.copy()
-    z[:], w[:] = 0.0, 0.0  # the caller owns what contour_nodes returns
-    z1, w1 = contour_nodes(cont, level=1)
-    assert np.array_equal(z1, z0) and np.array_equal(w1, w0)
+def _per_piece_rule(contour, level):
+    """12-point Gauss-Legendre panels built piece by piece: ceil(length / 0.5)
+    panels per segment and 2 per arc, times 2**level, at linspace edges."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    nodes, weights = [], []
+    for p in contours._pieces(contour):
+        seg = p[0] == "seg"
+        n = (max(1, int(np.ceil(abs(p[2] - p[1]) / 0.5))) if seg else 2) * 2**level
+        e = np.linspace(0.0, 1.0, n + 1) if seg else np.linspace(p[3], p[4], n + 1)
+        half = 0.5 * (e[1] - e[0])
+        s = (0.5 * (e[:-1] + e[1:])[:, None] + half * x).ravel()
+        if seg:
+            z0, z1 = p[1], p[2]
+            nodes.append(z0 + (z1 - z0) * s)
+            weights.append((z1 - z0) * half * np.tile(w, n))
+        else:
+            c, R = p[1], p[2]
+            nodes.append(c + R * np.exp(1j * s))
+            weights.append(1j * R * np.exp(1j * s) * half * np.tile(w, n))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def test_panel_cache_matches_a_rebuild(monkeypatch):
-    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
-    f = lambda z: np.exp(-z * z) / (z * (z - 1.0 - 0.3j))
-    cached = [contour_nodes(cont, level=lv) for lv in range(3)]
-    res = integrate_contour(f, cont, tol=1e-10)
-    monkeypatch.setattr(contours, "_panels", contours._panels.__wrapped__)
-    for lv, (z, w) in enumerate(cached):
-        z1, w1 = contour_nodes(cont, level=lv)
-        assert np.array_equal(z, z1) and np.array_equal(w, w1)
-    assert integrate_contour(f, cont, tol=1e-10) == res
+@pytest.mark.parametrize("cont", [
+    Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0),
+    Contour(0.2, (Detour(0.5 - 0.4j, "above", 0.15), Detour(-1.0 + 0.2j, "below", 0.1)), 5.0),
+    Contour(0.1, (Detour(1.0 + 0.4j, "below", 0.2),), 4.0, slope=0.3),
+], ids=["two-detours", "off-line-detours", "sloped"])
+def test_contour_nodes_match_a_per_piece_build(cont):
+    kinds = [p[0] for p in contours._pieces(cont)]
+    assert "arc" in kinds and kinds.count("seg") > 1
+    for level in range(4):
+        z, w = contour_nodes(cont, level=level)
+        z_ref, w_ref = _per_piece_rule(cont, level)
+        assert np.array_equal(z, z_ref) and np.array_equal(w, w_ref)
+        z0, w0 = z.copy(), w.copy()
+        z[:], w[:] = 0.0, 0.0  # the caller owns what contour_nodes returns
+        z1, w1 = contour_nodes(cont, level=level)
+        assert np.array_equal(z1, z0) and np.array_equal(w1, w0)
