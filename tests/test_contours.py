@@ -226,6 +226,33 @@ def test_fixed_node_grids_unchanged():
         complex(float.fromhex(re), float.fromhex(im)) for re, im in GRID_PINS]
 
 
+def test_panel_rules_are_cached_read_only():
+    for table in (*contours._GL12, *contours._GK21):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
+    z, w = contour_nodes(cont, level=1)
+    z0, w0 = z.copy(), w.copy()
+    z[:], w[:] = 0.0, 0.0  # the caller owns what contour_nodes returns
+    z1, w1 = contour_nodes(cont, level=1)
+    assert np.array_equal(z1, z0) and np.array_equal(w1, w0)
+
+
+def test_panel_cache_matches_a_rebuild(monkeypatch):
+    cont = Contour(0.0, (Detour(0j, "below", 0.1), Detour(1.0 + 0.3j, "above", 0.2)), 6.0)
+    f = lambda z: np.exp(-z * z) / (z * (z - 1.0 - 0.3j))
+    cached = [contour_nodes(cont, level=lv) for lv in range(3)]
+    res = integrate_contour(f, cont, tol=1e-10)
+    # rebuild the module-level rule tables the panels are mapped from
+    monkeypatch.setattr(contours, "_GL12", np.polynomial.legendre.leggauss(12))
+    monkeypatch.setattr(contours, "_GK21", contours._gk21_rule())
+    for lv, (z, w) in enumerate(cached):
+        z1, w1 = contour_nodes(cont, level=lv)
+        assert np.array_equal(z, z1) and np.array_equal(w, w1)
+    assert integrate_contour(f, cont, tol=1e-10) == res
+
+
 def _per_piece_rule(contour, level):
     """12-point Gauss-Legendre panels built piece by piece: ceil(length / 0.5)
     panels per segment and 2 per arc, times 2**level, at linspace edges."""
