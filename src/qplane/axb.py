@@ -195,28 +195,27 @@ class _Kernel(NamedTuple):
     """A kernel family K of the separating-contour transforms.  In the
     centered variable whose pole ladders head at 0 (contour above) and s
     (below) -- u = t2 + lam with s = t forward, mu = lam - t1 with s = -t
-    inverse -- the lam-independent weight is K(i u - i s) K(-i u) / K(-i s)."""
+    inverse -- the lam-independent weight is K(i u - i s) K(-i u) / norm(s)."""
 
     pair: Callable  # (x, y) -> K(i x) K(-i y), vectorized
-    norm: Callable  # s -> K(-i s)
+    norm: Callable  # s -> K(-i s) times the family's constant
     contour: Callable  # s -> the separating contour
     max_panel: float
-    scale: float = 1.0  # the transform is the contour integral / scale
     forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
     inverse_phase: Callable | None = None  # (lam, t1, t2) -> the entire lam-phase
 
     def weight(self, s):
-        """u -> K(i u - i s) K(-i u) / K(-i s), the norm evaluated once."""
+        """u -> K(i u - i s) K(-i u) / norm(s), the norm evaluated once."""
         norm = self.norm(s)
         return lambda u: self.pair(u - s, u) / norm
 
     @staticmethod
     def point_args(kind: str, lam, t1, t2) -> tuple:
         """(x, y, s) with the kernel of kind at (lam, t1, t2), t = t1 + t2, equal
-        to K(i x) K(-i y) / K(-i s) times its phase over scale:
+        to K(i x) K(-i y) / norm(s) times its phase:
 
-        floor: K(i lam - i t1) K(-i t2 - i lam) / K(-i t) times the forward phase,
-        ceil:  K(i t2 + i lam) K(-i lam + i t1) / K(i t) times the inverse phase.
+        floor: K(i lam - i t1) K(-i t2 - i lam) / norm(t) times the forward phase,
+        ceil:  K(i t2 + i lam) K(-i lam + i t1) / norm(-t) times the inverse phase.
 
         The arguments are formed as lam - t1 and t2 + lam, not from the
         centered variable, so the floor/ceil symmetries hold exactly.
@@ -236,20 +235,20 @@ class _Kernel(NamedTuple):
             val = val * self.forward_phase(lam, y, s)
         elif kind == "ceil" and self.inverse_phase:
             val = val * self.inverse_phase(lam, t1, t2)
-        return complex(np.squeeze(val / self.scale))
+        return complex(np.squeeze(val))
 
 
 def _adaptive(kernel: _Kernel, term: Callable, s: complex, tol):
-    """``int term(v, weight(v)) dv / scale`` on the contour of s by adaptive
-    quadrature: the value and the quadrature's error estimate, both / scale."""
+    """``int term(v, weight(v)) dv`` on the contour of s by adaptive
+    quadrature: the value and the quadrature's error estimate."""
     weight = kernel.weight(s)
     res = integrate_contour(lambda v: term(v, weight(v)), kernel.contour(s),
                             tol=tol, max_panel=kernel.max_panel)
-    return complex(res.value / kernel.scale), res.err_estimate / kernel.scale
+    return complex(res.value), res.err_estimate
 
 
 def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int | None = None):
-    """``int weight(u) phase f(t - u + lam, u - lam) du / scale``: adaptive at one
+    """``int weight(u) phase f(t - u + lam, u - lam) du``: adaptive at one
     lam for ``level=None``, returning (value, error estimate); else on the
     nodes of ``level`` for an array of lam, the weight evaluated once and
     contracted one lam at a time."""
@@ -263,11 +262,11 @@ def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int
         return _adaptive(kernel, lambda u, g: term(u, g, lam), t, tol)
     u, wq = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
     g = kernel.weight(t)(u) * wq
-    return np.array([np.sum(term(u, g, l)) for l in np.asarray(lam, dtype=complex)]) / kernel.scale
+    return np.array([np.sum(term(u, g, l)) for l in np.asarray(lam, dtype=complex)])
 
 
 def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None = None):
-    """``int weight(mu) phase F(mu + t1, t) d mu / scale`` at t = t1 + t2 (a
+    """``int weight(mu) phase F(mu + t1, t) d mu`` at t = t1 + t2 (a
     scalar in F): adaptive for ``level=None``, returning (value, error
     estimate); else the value on the nodes of ``level``."""
     t = t1 + t2
@@ -281,11 +280,16 @@ def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None =
     if level is None:
         return _adaptive(kernel, term, -t, tol)
     mu, wq = contour_nodes(kernel.contour(-t), level=level, max_panel=kernel.max_panel)
-    return complex(np.sum(term(mu, kernel.weight(-t)(mu) * wq)) / kernel.scale)
+    return complex(np.sum(term(mu, kernel.weight(-t)(mu) * wq)))
 
 
-_GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y), lambda s: gamma(-1j * s),
-                 lambda s: _separating_contour(s, _TRUNCATION), 0.5, 2 * np.pi)
+def _roundtrip(kernel: _Kernel, f: TwoVarFn, t1, t2) -> complex:
+    """inverse(forward(f)) at (t1, t2): the level-1 inverse over the level-1 forward grid."""
+    return _inverse(kernel, lambda lam, t: _forward(kernel, f, lam, t, level=1), t1, t2, level=1)
+
+
+_GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y), lambda s: 2 * np.pi * gamma(-1j * s),
+                 lambda s: _separating_contour(s, _TRUNCATION), 0.5)
 
 
 def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:
@@ -315,7 +319,6 @@ def intertwiner_forward_grid(f: TwoVarFn, lams: np.ndarray, t: complex, level: i
     return _forward(_GAMMA, f, lams, t, level=level)
 
 
-def intertwiner_roundtrip(f: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9) -> complex:
-    """inverse(forward(f)) at (t1, t2): the adaptive inverse over the level-2
-    forward grid; equals f(t1, t2) up to quadrature error."""
-    return intertwiner_inverse(lambda lam, t: intertwiner_forward_grid(f, lam, t), t1, t2, tol)
+def intertwiner_roundtrip(f: TwoVarFn, t1: complex, t2: complex) -> complex:
+    """_roundtrip of the gamma family; equals f(t1, t2) up to quadrature error."""
+    return _roundtrip(_GAMMA, f, t1, t2)

@@ -285,8 +285,7 @@ def _cmd_transform(args) -> int:
     for x, y in points:
         rec = {keys[0]: x, keys[1]: y}
         if args.direction == "roundtrip":  # forward-then-inverse against the input data
-            val = (axb.intertwiner_roundtrip(f, x, y, tol=tol) if which == "classical"
-                   else qtransform.q_roundtrip(f, x, y, p, tol=tol))
+            val = axb._roundtrip(kernel, f, x, y)
             rec["roundtrip_error"] = float(abs(val - complex(f(np.asarray(x), np.asarray(y)))))
         else:  # the adaptive primitives, which also return the quadrature's error estimate
             primitive = axb._forward if args.direction == "forward" else axb._inverse

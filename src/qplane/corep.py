@@ -25,7 +25,8 @@ from .contours import residue_consistent
 from .errors import DomainError
 from .gammafn import gamma
 from .modular import ModularParam, from_r
-from .qdilog import QDValue, _factor_estimate, gb, gb_many
+from .qdilog import QDValue, _factor_estimate, gb_many
+from .qtransform import _gb_kernel
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,13 @@ def coaction_kernel_value(x: float, t: float, p: ModularParam, tol: float = 1e-1
 
 def coproduct_kernel(x: float, w: float, z: float, p: ModularParam,
                      tol: float = 1e-10) -> complex:
-    """q-binomial expansion kernel of Delta(A^{ix} B^{iz-ix}) at tau = -w:
-
-    ``G_b(i b x - i b w) G_b(i b w - i b z) / G_b(i b x - i b z)``."""
+    """q-binomial expansion kernel of Delta(A^{ix} B^{iz-ix}) at tau = -w,
+    ``G_b(i b x - i b w) G_b(i b w - i b z) / G_b(i b x - i b z)``: the G_b
+    family's transform weight at s = b(z - x), u = b(z - w)."""
     for u, v in ((x, w), (w, z), (x, z)):
         if abs(u - v) < 1e-9:
             raise DomainError("coproduct kernel needs pairwise distinct arguments")
-    return complex(
-        gb(1j * p.b * (x - w), p, tol).value
-        * gb(1j * p.b * (w - z), p, tol).value
-        / gb(1j * p.b * (x - z), p, tol).value
-    )
+    return complex(_gb_kernel(p, tol).weight(p.b * (z - x))(p.b * (z - w))[0])
 
 
 def corep_axiom_residual(x: float, w: float, z: float, p: ModularParam,

@@ -114,13 +114,15 @@ def _log_qpochhammer(a: np.ndarray, lq: complex, tol: float, poles=False) -> tup
 def _gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.ndarray, float]:
     """zeta_b_bar (e^{2 pi i(x - 1/b)/b}; qtilde^2)_inf / (e^{2 pi i b x}; q^2)_inf in log form
     ((x - 1/b)/b, not x/b - 1/b^2: no cancellation of two |b|^-2 terms), and its relative error:
-    both series remainders plus eps times each log and zeta_b_bar's exponent (O(|b|^-2))."""
+    both series remainders plus eps times each log and log zeta_b_bar (O(|b|^-2)), which joins the
+    logs in the one exp (alone, zeta_b_bar underflows to 0 below r ~ 3.5e-4 at b^2 = i r)."""
     _require_tol(tol)
     b, b2, flat = p.b, p.b2, x.ravel()
     ln_num, tail_num = _log_qpochhammer(2j * np.pi * ((flat - 1.0 / b) / b), -2j * np.pi / b2, tol)
     ln_den, tail_den = _log_qpochhammer(2j * np.pi * b * flat, 2j * np.pi * b2, tol, poles=True)
-    err = tail_num + tail_den + np.finfo(float).eps * abs(np.pi / 12 * (b2 + 1.0 / b2))
-    return p.zeta_b_bar * np.exp(ln_num - ln_den).reshape(x.shape), err
+    ln_zeta_bar = -1j * np.pi / 4 - 1j * np.pi / 12 * (b2 + 1.0 / b2)
+    err = tail_num + tail_den + np.finfo(float).eps * abs(ln_zeta_bar)
+    return np.exp(ln_num - ln_den + ln_zeta_bar).reshape(x.shape), err
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +294,13 @@ def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     integral representation, continued by G_b(x+b) = (1-e^{2 pi i b x})G_b(x)
     when Re(x) falls outside the base window.  Arguments on the pole lattice
     -n b - m/b raise PoleError; on the zero lattice Q + n b + m/b the value
-    comes out (numerically exactly) zero.  A non-finite argument raises
-    DomainError.
+    comes out (numerically exactly) zero.  A non-finite argument or value
+    raises DomainError.
     """
     vals, err, backend = _gb_eval(x, p, tol)
     v = complex(vals[0])
+    if not np.isfinite(v):
+        raise DomainError(f"G_b is not finite at {x}")
     return QDValue(v, backend, err * abs(v))
 
 
@@ -349,8 +353,8 @@ def sb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     """S_b(x) = e^{-(i pi/2) x (x-Q)} G_b(x); satisfies S_b(x)S_b(Q-x) = 1."""
     g = gb(x, p, tol)
     x = complex(x)
-    v = np.exp(-0.5j * np.pi * x * (x - p.Q)) * g.value
-    return QDValue(complex(v), g.backend, g.err_estimate)
+    pref = np.exp(-0.5j * np.pi * x * (x - p.Q))  # not unimodular off the real line
+    return QDValue(complex(pref * g.value), g.backend, g.err_estimate * abs(pref))
 
 
 def gb_small(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
@@ -369,7 +373,7 @@ def veta(z, p: ModularParam, tol: float = 1e-10) -> QDValue:
     ``V(z) = zeta_b G_b(Q/2 - i z/(2 pi b)) = 1/g_b(e^z)``."""
     z = complex(z)
     g = gb(p.Q / 2.0 - 1j * z / (2 * np.pi * p.b), p, tol)
-    return QDValue(complex(p.zeta_b * g.value), g.backend, g.err_estimate)
+    return QDValue(complex(p.zeta_b * g.value), g.backend, g.err_estimate * abs(p.zeta_b))
 
 
 def veta_integral(z, p: ModularParam, tol: float = 1e-10) -> complex:

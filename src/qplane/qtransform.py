@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axb import _forward, _inverse, _Kernel, _separating_contour, classical_kernel
+from .axb import _forward, _inverse, _Kernel, _roundtrip, _separating_contour, classical_kernel
 from .contours import path_clear_of
 from .errors import DomainError
 from .modular import ModularParam, from_r
@@ -152,13 +152,9 @@ def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float =
     return _inverse(_gb_kernel(p, tol), phi, t1, t2, tol)[0]
 
 
-def q_roundtrip(
-    f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9, level: int = 1,
-) -> complex:
-    """inverse(forward(f)) at (t1,t2), both on the fixed nodes of ``level``:
-    the inverse's nodes are the lam array of one forward grid."""
-    return _inverse(_gb_kernel(p, tol), lambda lam, t: q_forward_grid(f, lam, t, p, tol, level),
-                    t1, t2, level=level)
+def q_roundtrip(f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9) -> complex:
+    """``axb._roundtrip`` of the G_b family at p, G_b evaluated to tol."""
+    return _roundtrip(_gb_kernel(p, tol), f, t1, t2)
 
 
 def q_forward_grid(

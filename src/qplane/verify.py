@@ -254,7 +254,7 @@ def classical_intertwiner_checks(tol: float = 1e-3) -> list[dict]:
     fw = lambda t1, t2: np.exp(-t1**2 - t2**2)
     return [
         _roundtrip_rec("intertwiner round trip",
-                       lambda t1, t2: axb.intertwiner_roundtrip(fw, t1, t2, tol=1e-8), fw, tol),
+                       lambda t1, t2: axb.intertwiner_roundtrip(fw, t1, t2), fw, tol),
         _norm_box_rec("intertwiner norm preservation", axb.intertwiner_forward_grid, fw, 5.0, tol),
         # equivariance: transform (R+ x R+)(g) = (1 x R+)(g) transform
         _rec("intertwiner equivariance", "g=(1.3,0.4)",

@@ -131,7 +131,7 @@ def test_intertwiner_roundtrip():
     worst = 0.0
     for t1 in (0.3, 0.6, 0.9):
         for t2 in (0.4, 0.7, 1.0):
-            rt = axb.intertwiner_roundtrip(f, t1, t2, tol=1e-8)
+            rt = axb.intertwiner_roundtrip(f, t1, t2)
             worst = max(worst, abs(rt - f(t1, t2)))
     assert worst < 1e-4
 

@@ -51,6 +51,16 @@ def test_eval_gb_fixture():
     assert rec["backend"] in ("integral", "functional-continuation")
 
 
+def test_eval_gb_below_the_zeta_underflow():
+    # at b^2 = 0.00025i zeta_b_bar alone underflows to 0 and the quotient of
+    # the q-Pochhammer symbols overflows; the value is about 1e-46
+    code, out, err = run_cli("eval", "gb", "0.5", "--b2", "0.00025i")
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    value = complex(rec["value"]["re"], rec["value"]["im"])
+    assert np.isfinite(value) and value != 0 and np.isfinite(rec["err_estimate"])
+
+
 def test_eval_symbolic_midpoint():
     code, out, _ = run_cli("eval", "gb", "Q/2", "--b", "0.8")
     rec = json.loads(out)
@@ -103,7 +113,6 @@ def test_usage_exit_code():
     (("eval", "gb", "0.5+nani", "--b", "0.8"), 2),
     (("eval", "hyp2f1", "0.3", "1", "2", "nan"), 2),
     (("eval", "gamma", "200"), 2),
-    (("eval", "gb", "0.5", "--b2", "0.00025i"), 2),
 ])
 def test_bad_invocation_exit_codes(tmp_path, argv, code):
     # a wrong value count or a --tol that is not a positive finite number is a

@@ -45,6 +45,18 @@ def test_coproduct_kernel_value_and_symmetry():
     assert abs(v_rev - w_rev) < 1e-12 * abs(v_rev)
 
 
+def test_coproduct_kernel_is_the_explicit_gb_ratio():
+    # the G_b family's weight against the ratio written out, on triples
+    # drawn as the corep suite draws them
+    rng = np.random.default_rng(42)
+    for p in (P07, P08):
+        for _ in range(10):
+            x, w, z = rng.uniform(-1, 1, size=3)
+            ref = (qd.gb(1j * p.b * (x - w), p).value * qd.gb(1j * p.b * (w - z), p).value
+                   / qd.gb(1j * p.b * (x - z), p).value)
+            assert abs(corep.coproduct_kernel(x, w, z, p) - ref) < 1e-13 * abs(ref)
+
+
 def test_corep_axiom_examples():
     assert corep.corep_axiom_residual(0.1, 0.5, 0.9, P08) < 1e-8
     assert corep.corep_axiom_residual(0.0, 0.3, 0.6, P07) < 1e-8

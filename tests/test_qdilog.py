@@ -3,6 +3,7 @@ import pytest
 
 import qplane.qdilog as qd
 from qplane.errors import DomainError, PoleError
+from qplane.gammafn import gamma
 from qplane.modular import from_b, from_b2, from_r
 
 # frozen oracles: independent high-precision quadrature of the integral
@@ -181,6 +182,16 @@ def test_variants():
         qd.gb_small(-1.0, P08)
 
 
+def test_variant_estimates_are_gb_relative_estimates():
+    # S_b's and V_eta's prefactors are not unimodular here: |e^{...}| at
+    # b = 0.8, x = 2+0.8i and |zeta_b| = 1.37 at b^2 = 0.3+0.4i
+    p = from_b2(0.3 + 0.4j)
+    for v, g in ((qd.sb(2 + 0.8j, P08), qd.gb(2 + 0.8j, P08)),
+                 (qd.veta(0.4, p), qd.gb(p.Q / 2 - 0.4j / (2 * np.pi * p.b), p))):
+        rel_v, rel_g = v.err_estimate / abs(v.value), g.err_estimate / abs(g.value)
+        assert rel_g > 0 and abs(rel_v - rel_g) < 1e-12 * rel_g
+
+
 def test_residue_checks():
     assert qd.residue_check(0, 0, P08) < 1e-6
     pc = from_b2(0.3 + 0.3j)
@@ -257,6 +268,27 @@ def test_asymptotics():
         x = p.Q / 2 - 8j
         tgt = p.zeta_b * np.exp(1j * np.pi * x * (x - p.Q))
         assert abs(qd.gb(x, p).value - tgt) / abs(tgt) < 1e-6
+
+
+@pytest.mark.parametrize("r", [3e-4, 1e-4, 1e-5])
+def test_gb_below_the_zeta_underflow(r):
+    # below r ~ 3.5e-4 zeta_b_bar alone underflows to 0; folded into the
+    # exponent, the limit residual (2 pi b) G_b(b x)/(2 pi r)^x - Gamma(x)
+    # is the first-order term (pi r/2) |x (x-1) Gamma(x)| to 3 digits
+    p = from_r(r)
+    for x in (0.5, 1.5, 1 + 0.3j):
+        g = qd.gb(p.b * x, p, 1e-13)
+        assert np.isfinite(g.err_estimate) and g.err_estimate < 1e-10 * abs(g.value)
+        residual = abs(2 * np.pi * p.b * g.value / (2 * np.pi * r) ** x - gamma(x))
+        first_order = np.pi * r / 2 * abs(x * (x - 1) * gamma(x))
+        assert abs(residual - first_order) < 1e-3 * first_order
+
+
+def test_gb_non_finite_value_is_a_domain_error():
+    # one of the points of a 200-point rng(0) sweep of [-15, 15]^2 where G_b
+    # at b = 1 overflows; it came back as NaN without a signal
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
+        qd.gb(-14.504 - 9.147j, from_b(1.0))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])

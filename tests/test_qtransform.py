@@ -69,6 +69,16 @@ def test_roundtrip_single_point():
     assert abs(rt - GAUSS(0.4, 0.6)) < 1e-9
 
 
+@pytest.mark.parametrize("family", ["gamma", "gb"])
+def test_roundtrip_reproduces_the_data(family):
+    # the level-1 inverse over the level-1 forward grid, on verify's 9-point grid
+    kernel = axb._GAMMA if family == "gamma" else qt._gb_kernel(P08, 1e-9)
+    f = lambda t1, t2: np.exp(-t1**2 - t2**2)
+    for t1 in (0.3, 0.6, 0.9):
+        for t2 in (0.4, 0.7, 1.0):
+            assert abs(axb._roundtrip(kernel, f, t1, t2) - f(t1, t2)) < 1e-12
+
+
 def test_roundtrip_memory_stays_per_lambda():
     # the forward grid is contracted one lam at a time, never as a
     # (lam nodes) x (u nodes) tensor (about 100 MB when it was)
