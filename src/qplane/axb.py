@@ -20,6 +20,7 @@ import numpy as np
 from .contours import auto_detours, contour_nodes, integrate_contour
 from .errors import DomainError
 from .gammafn import gamma
+from .qdilog import QDValue
 
 TwoVarFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -182,7 +183,7 @@ def classical_kernel(kind: str, lam: float, t1: float, t2: float) -> complex:
 
     with t = t1 + t2; ceil is the complex conjugate of floor for real input.
     """
-    return _GAMMA.point(kind, lam, t1, t2)
+    return _GAMMA.point(kind, lam, t1, t2).value
 
 
 def _separating_contour(t: complex, truncation: float):
@@ -195,10 +196,12 @@ class _Kernel(NamedTuple):
     """A kernel family K of the separating-contour transforms.  In the
     centered variable whose pole ladders head at 0 (contour above) and s
     (below) -- u = t2 + lam with s = t forward, mu = lam - t1 with s = -t
-    inverse -- the lam-independent weight is K(i u - i s) K(-i u) / norm(s)."""
+    inverse -- the lam-independent weight is K(i u - i s) K(-i u) / norm(s),
+    norm(s) = const K(-i s)."""
 
     pair: Callable  # (x, y) -> K(i x) K(-i y), vectorized
-    norm: Callable  # s -> K(-i s) times the family's constant
+    at: Callable  # z -> K(z) at one point, as a QDValue
+    const: float  # the family's constant in norm(s)
     contour: Callable  # s -> the separating contour
     max_panel: float
     forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
@@ -206,7 +209,7 @@ class _Kernel(NamedTuple):
 
     def weight(self, s):
         """u -> K(i u - i s) K(-i u) / norm(s), the norm evaluated once."""
-        norm = self.norm(s)
+        norm = (self.const * self.at(-1j * s)).value
         return lambda u: self.pair(u - s, u) / norm
 
     @staticmethod
@@ -227,15 +230,16 @@ class _Kernel(NamedTuple):
             return t2 + lam, lam - t1, -t
         raise DomainError(f"unknown kernel kind {kind!r}")
 
-    def point(self, kind: str, lam, t1, t2) -> complex:
-        """The forward ('floor') or inverse ('ceil') kernel at one point (see point_args)."""
+    def point(self, kind: str, lam, t1, t2) -> QDValue:
+        """The forward ('floor') or inverse ('ceil') kernel at one point (see
+        point_args), its three factors each evaluated once by ``at``."""
         x, y, s = self.point_args(kind, lam, t1, t2)
-        val = self.pair(x, y) / self.norm(s)
+        val = self.at(1j * x) * self.at(-1j * y) / (self.const * self.at(-1j * s))
         if kind == "floor" and self.forward_phase:
-            val = val * self.forward_phase(lam, y, s)
-        elif kind == "ceil" and self.inverse_phase:
-            val = val * self.inverse_phase(lam, t1, t2)
-        return complex(np.squeeze(val))
+            return val * self.forward_phase(lam, y, s)
+        if kind == "ceil" and self.inverse_phase:
+            return val * self.inverse_phase(lam, t1, t2)
+        return val
 
 
 def _adaptive(kernel: _Kernel, term: Callable, s: complex, tol):
@@ -288,7 +292,8 @@ def _roundtrip(kernel: _Kernel, f: TwoVarFn, t1, t2) -> complex:
     return _inverse(kernel, lambda lam, t: _forward(kernel, f, lam, t, level=1), t1, t2, level=1)
 
 
-_GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y), lambda s: 2 * np.pi * gamma(-1j * s),
+_GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y),
+                 lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
                  lambda s: _separating_contour(s, _TRUNCATION), 0.5)
 
 

@@ -25,7 +25,7 @@ from .contours import residue_consistent
 from .errors import DomainError
 from .gammafn import gamma
 from .modular import ModularParam, from_r
-from .qdilog import QDValue, _factor_estimate, gb_many
+from .qdilog import QDValue, gb, gb_many
 from .qtransform import _gb_kernel
 
 
@@ -54,16 +54,16 @@ def _scaled_coaction_kernel(x, z, p: ModularParam, tol: float = 1e-10):
     ``K(x,z) = G_b(i b (x-z)) e^{pi Q b (z-x)} (2 sin pi b^2)^{-i (x-z)}``
 
     (the one place the powers of 2 sin(pi b^2) are formed).  A scalar x - z
-    gives a complex, an array an array."""
-    d = np.asarray(x - z)
-    val = gb_many(1j * p.b * d, p, tol) * np.exp(-np.pi * p.Q * p.b * d) \
+    gives a QDValue (G_b by ``gb``), an array an array (by ``gb_many``)."""
+    d = x - z
+    return (gb if np.ndim(d) == 0 else gb_many)(1j * p.b * d, p, tol) * np.exp(-np.pi * p.Q * p.b * d) \
         * complex(2.0 * np.sin(np.pi * p.b2)) ** (-1j * d)
-    return complex(val[0]) if d.ndim == 0 else val
 
 
 def coaction_kernel(x: float, t: float, p: ModularParam,
-                    tol: float = 1e-10) -> tuple[complex, NormalOrderedMonomial]:
-    """Scalar coefficient and monomial of the coaction integrand at (x, t):
+                    tol: float = 1e-10) -> tuple[QDValue, NormalOrderedMonomial]:
+    """Scalar coefficient (with its G_b factor's backend and error estimate)
+    and monomial of the coaction integrand at (x, t):
 
     ``e^{pi Q (t-x)} G_b(i x - i t) (2 sin pi b^2)^{-i (x-t)/b}
       * A^{i x/b} B^{i (t-x)/b}``,
@@ -77,14 +77,6 @@ def coaction_kernel(x: float, t: float, p: ModularParam,
         raise DomainError("kernel pole at t = x (the contour passes above it)")
     scalar = _scaled_coaction_kernel(x / p.b, t / p.b, p, tol)
     return scalar, NormalOrderedMonomial(complex(x), complex(t - x))
-
-
-def coaction_kernel_value(x: float, t: float, p: ModularParam, tol: float = 1e-10) -> QDValue:
-    """coaction_kernel's scalar with the backend of its one G_b factor,
-    G_b(i x - i t) as the rescaled kernel forms it, and that factor's relative
-    error estimate times the scalar's modulus."""
-    scalar, _ = coaction_kernel(x, t, p, tol)
-    return _factor_estimate(scalar, [1j * p.b * (x / p.b - t / p.b)], p, tol)
 
 
 def coproduct_kernel(x: float, w: float, z: float, p: ModularParam,
@@ -106,8 +98,8 @@ def corep_axiom_residual(x: float, w: float, z: float, p: ModularParam,
 
     (all exponential and 2 sin(pi b^2) factors included; the G_b(ibx-ibz)
     denominators cancel, so this is an exact identity of kernels)."""
-    lhs = _scaled_coaction_kernel(x, z, p, tol) * coproduct_kernel(x, w, z, p, tol)
-    rhs = _scaled_coaction_kernel(x, w, p, tol) * _scaled_coaction_kernel(w, z, p, tol)
+    lhs = (_scaled_coaction_kernel(x, z, p, tol) * coproduct_kernel(x, w, z, p, tol)).value
+    rhs = (_scaled_coaction_kernel(x, w, p, tol) * _scaled_coaction_kernel(w, z, p, tol)).value
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -158,10 +150,10 @@ def coaction_limit_residual(x: float, z: float, r: float, variant: str = "V",
         raise DomainError("kernel pole at x = z")
     p = from_r(r)
     if variant == "V":
-        quantum = p.b * _scaled_coaction_kernel(x, z, p, tol)
+        quantum = p.b * _scaled_coaction_kernel(x, z, p, tol).value
         target = gamma(1j * (x - z)) / (2 * np.pi) * np.exp((1j * (z - x)) * np.log(-1j))
     elif variant == "Vstar":
-        quantum = np.conj(p.b * _scaled_coaction_kernel(z, x, p, tol))
+        quantum = np.conj(p.b * _scaled_coaction_kernel(z, x, p, tol).value)
         target = gamma(1j * (x - z)) / (2 * np.pi) * np.exp((1j * (z - x)) * np.log(1j))
     else:
         raise DomainError(f"unknown variant {variant!r}")

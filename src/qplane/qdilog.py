@@ -22,6 +22,7 @@ toward the gamma function along b^2 = i r -> i 0+.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,13 +50,47 @@ _BAND_EDGES = (0.0, 2.0, 4.0, 8.0, 16.0, 32.0, np.inf)  # |Re z| bands of the in
 _DIRECT_MAX = 256
 
 
+# backends in the order a product reports them: a product of factors reports the first
+# of its factors' backends, so an exact (closed-form) factor never hides a G_b backend
+_BACKENDS = ("functional-continuation", "integral", "product", "closed-form")
+
+
 @dataclass(frozen=True)
 class QDValue:
-    """Quantum dilogarithm value with backend provenance and error estimate."""
+    """A value with backend provenance and an absolute error estimate.
+
+    Products and quotients with another QDValue or an exact number form the
+    value as the plain numbers would and add the relative estimates (to first
+    order: e1 |v2| + e2 |v1| for a product), so a ratio of G_b factors times
+    exact phases carries its error from its factors.
+    """
 
     value: complex
-    backend: str  # 'product' | 'integral' | 'functional-continuation'
+    backend: str  # one of _BACKENDS
     err_estimate: float
+
+    __array_ufunc__ = None  # a numpy scalar on the left defers to the reflected operators
+
+    # an exact number keeps the backend and relative estimate (no QDValue of its own: speed)
+    def __mul__(self, other) -> "QDValue":
+        if not isinstance(other, QDValue):
+            return QDValue(complex(self.value * other), self.backend, self.err_estimate * abs(other))
+        return QDValue(complex(self.value * other.value),
+                       min(self.backend, other.backend, key=_BACKENDS.index),
+                       self.err_estimate * abs(other.value) + other.err_estimate * abs(self.value))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "QDValue":
+        if not isinstance(other, QDValue):
+            return QDValue(complex(self.value / other), self.backend, self.err_estimate / abs(other))
+        v = complex(self.value / other.value)
+        return QDValue(v, min(self.backend, other.backend, key=_BACKENDS.index),
+                       (self.err_estimate + other.err_estimate * abs(v)) / abs(other.value))
+
+    def __rtruediv__(self, other) -> "QDValue":  # other / self, other an exact number
+        v = complex(other / self.value)
+        return QDValue(v, self.backend, self.err_estimate * abs(v) / abs(self.value))
 
 
 def _require_tol(tol: float) -> None:
@@ -111,9 +146,9 @@ def _log_qpochhammer(a: np.ndarray, lq: complex, tol: float, poles=False) -> tup
     return out, bound + np.finfo(float).eps * float(np.abs(out).max(initial=0.0))
 
 
-def _gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.ndarray, float]:
-    """zeta_b_bar (e^{2 pi i(x - 1/b)/b}; qtilde^2)_inf / (e^{2 pi i b x}; q^2)_inf in log form
-    ((x - 1/b)/b, not x/b - 1/b^2: no cancellation of two |b|^-2 terms), and its relative error:
+def _log_gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.ndarray, float]:
+    """log of zeta_b_bar (e^{2 pi i(x - 1/b)/b}; qtilde^2)_inf / (e^{2 pi i b x}; q^2)_inf
+    ((x - 1/b)/b, not x/b - 1/b^2: no cancellation of two |b|^-2 terms), and its error:
     both series remainders plus eps times each log and log zeta_b_bar (O(|b|^-2)), which joins the
     logs in the one exp (alone, zeta_b_bar underflows to 0 below r ~ 3.5e-4 at b^2 = i r)."""
     _require_tol(tol)
@@ -122,7 +157,7 @@ def _gb_product_many(x: np.ndarray, p: ModularParam, tol: float) -> tuple[np.nda
     ln_den, tail_den = _log_qpochhammer(2j * np.pi * b * flat, 2j * np.pi * b2, tol, poles=True)
     ln_zeta_bar = -1j * np.pi / 4 - 1j * np.pi / 12 * (b2 + 1.0 / b2)
     err = tail_num + tail_den + np.finfo(float).eps * abs(ln_zeta_bar)
-    return np.exp(ln_num - ln_den + ln_zeta_bar).reshape(x.shape), err
+    return (ln_num - ln_den + ln_zeta_bar).reshape(x.shape), err
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +257,12 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
     return (total - flat).reshape(z.shape), err
 
 
-def _gb_integral_many(w: np.ndarray, p: ModularParam, tol: float) -> tuple[np.ndarray, float, bool]:
+def _gb_integral_many(w: np.ndarray, p: ModularParam, tol: float):
     """G_b on arbitrary arguments for real b, via shifts into the base window.
 
-    Returns (values, err, shifted) where shifted reports whether any
-    functional-equation continuation was applied.
+    Returns (values, err, shifted, log) where shifted reports whether any
+    functional-equation continuation was applied and log() forms the log
+    values from the same pieces.
     """
     b = float(p.b.real)
     Q = b + 1.0 / b
@@ -256,7 +292,12 @@ def _gb_integral_many(w: np.ndarray, p: ModularParam, tol: float) -> tuple[np.nd
     G = np.exp(1j * I)
     gb_base = np.exp(-0.5j * np.pi * z**2) * np.exp(-1j * np.pi * Q**2 / 8.0) * G
     vals = gb_base * mult / corr
-    return vals.reshape(w.shape), err, bool(kmax > 0 or kmin < 0)
+
+    def log():  # NaN where corr overflowed: its log is lost
+        ln = -0.5j * np.pi * z**2 - 1j * np.pi * Q**2 / 8.0 + 1j * I + np.log(mult) - np.log(corr)
+        return np.where(np.isfinite(corr), ln, np.nan).reshape(w.shape)
+
+    return vals.reshape(w.shape), err, bool(kmax > 0 or kmin < 0), log
 
 
 def _finite_args(x) -> np.ndarray:
@@ -271,15 +312,16 @@ def _finite_args(x) -> np.ndarray:
     return xx
 
 
-def _gb_eval(x, p: ModularParam, tol: float) -> tuple[np.ndarray, float, str]:
-    """G_b on a batch: the values, the backend's relative error estimate and
-    the backend's name."""
+def _gb_eval(x, p: ModularParam, tol: float):
+    """G_b on a batch: the values, the backend's relative error estimate, the
+    backend's name, and a function forming the log values (on demand: only
+    an exactly zero value needs them)."""
     xx = _finite_args(x)
     if p.regime == "product":
-        vals, tail = _gb_product_many(xx, p, tol)
-        return vals, tail, "product"
-    vals, err, shifted = _gb_integral_many(xx, p, tol)
-    return vals, err, "functional-continuation" if shifted else "integral"
+        ln, tail = _log_gb_product_many(xx, p, tol)
+        return np.exp(ln), tail, "product", lambda: ln
+    vals, err, shifted, log = _gb_integral_many(xx, p, tol)
+    return vals, err, "functional-continuation" if shifted else "integral", log
 
 
 def gb_many(x, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
@@ -294,28 +336,18 @@ def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     integral representation, continued by G_b(x+b) = (1-e^{2 pi i b x})G_b(x)
     when Re(x) falls outside the base window.  Arguments on the pole lattice
     -n b - m/b raise PoleError; on the zero lattice Q + n b + m/b the value
-    comes out (numerically exactly) zero.  A non-finite argument or value
-    raises DomainError.
+    comes out zero or nearly so.  A non-finite argument or value raises
+    DomainError, and so does a value that is exactly 0 off the zero lattice,
+    where it underflowed (the log value tells the two apart: its real part
+    is -inf only on the lattice).
     """
-    vals, err, backend = _gb_eval(x, p, tol)
+    vals, err, backend, log = _gb_eval(x, p, tol)
     v = complex(vals[0])
-    if not np.isfinite(v):
+    if not cmath.isfinite(v):
         raise DomainError(f"G_b is not finite at {x}")
+    if v == 0 and (ln := complex(log().ravel()[0])).real != -np.inf:
+        raise DomainError(f"G_b underflows to 0 at {x} (log G_b = {ln:.6g})")
     return QDValue(v, backend, err * abs(v))
-
-
-def _factor_estimate(value: complex, zs, p: ModularParam, tol: float) -> QDValue:
-    """value, a product or quotient of G_b at the points zs and exact factors,
-    with the G_b backend and an error estimate: the factors' relative
-    estimates add.  Each G_b is evaluated once more, one point per call as the
-    kernels evaluate it, so its estimate is the one of the factor in value."""
-    rel, backends = 0.0, set()
-    for z in zs:
-        _, err, backend = _gb_eval(z, p, tol)
-        rel += err
-        backends.add(backend)
-    backend = "functional-continuation" if "functional-continuation" in backends else backends.pop()
-    return QDValue(complex(value), backend, rel * abs(value))
 
 
 def gb_product(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
@@ -335,7 +367,8 @@ def ruijsenaars_g(z, p: ModularParam, tol: float = 1e-10) -> QDValue:
         raise DomainError("the integral representation requires real b")
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     I, err = _g_line_integral(zz, float(p.b.real), tol)
-    return QDValue(complex(np.exp(1j * I[0])), "integral", err)
+    G = complex(np.exp(1j * I[0]))
+    return QDValue(G, "integral", err * abs(G))  # err bounds I, so err |G| bounds G = e^{iI}
 
 
 def gb_pole_lattice(p: ModularParam, n_max: int = 6, m_max: int = 4) -> np.ndarray:
@@ -351,10 +384,7 @@ def gb_pole_lattice(p: ModularParam, n_max: int = 6, m_max: int = 4) -> np.ndarr
 
 def sb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     """S_b(x) = e^{-(i pi/2) x (x-Q)} G_b(x); satisfies S_b(x)S_b(Q-x) = 1."""
-    g = gb(x, p, tol)
-    x = complex(x)
-    pref = np.exp(-0.5j * np.pi * x * (x - p.Q))  # not unimodular off the real line
-    return QDValue(complex(pref * g.value), g.backend, g.err_estimate * abs(pref))
+    return np.exp(-0.5j * np.pi * x * (x - p.Q)) * gb(x, p, tol)
 
 
 def gb_small(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
@@ -362,18 +392,13 @@ def gb_small(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     x = complex(x)
     if x.real <= 0 and abs(x.imag) < 1e-14:
         raise DomainError("g_b needs x off the cut (-inf, 0]")
-    arg = p.Q / 2.0 + np.log(x) / (2j * np.pi * p.b)
-    g = gb(arg, p, tol)
-    v = p.zeta_b_bar / g.value
-    return QDValue(complex(v), g.backend, g.err_estimate * abs(v) / max(abs(g.value), 1e-300))
+    return p.zeta_b_bar / gb(p.Q / 2.0 + np.log(x) / (2j * np.pi * p.b), p, tol)
 
 
 def veta(z, p: ModularParam, tol: float = 1e-10) -> QDValue:
     """V_eta(z) at eta = 1/b^2, through its quantum-dilogarithm form
     ``V(z) = zeta_b G_b(Q/2 - i z/(2 pi b)) = 1/g_b(e^z)``."""
-    z = complex(z)
-    g = gb(p.Q / 2.0 - 1j * z / (2 * np.pi * p.b), p, tol)
-    return QDValue(complex(p.zeta_b * g.value), g.backend, g.err_estimate * abs(p.zeta_b))
+    return p.zeta_b * gb(p.Q / 2.0 - 1j * complex(z) / (2 * np.pi * p.b), p, tol)
 
 
 def veta_integral(z, p: ModularParam, tol: float = 1e-10) -> complex:

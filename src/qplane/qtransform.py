@@ -28,7 +28,7 @@ from .axb import _forward, _inverse, _Kernel, _roundtrip, _separating_contour, c
 from .contours import path_clear_of
 from .errors import DomainError
 from .modular import ModularParam, from_r
-from .qdilog import QDValue, _factor_estimate, gb, gb_many
+from .qdilog import QDValue, gb, gb_many
 
 _TRUNCATION = 6.0  # half-length of the quantum transforms' separating contour
 
@@ -52,7 +52,7 @@ def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
 
     return _Kernel(
         lambda x, y: gb_many(1j * x, p, tol) * gb_many(-1j * y, p, tol),
-        lambda s: gb(-1j * s, p, tol).value,
+        lambda z: gb(z, p, tol), 1.0,
         contour, max_panel=0.25,
         forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
         inverse_phase=lambda lam, t1, t2: np.exp(1j * np.pi * lam * (lam + 2 * t2))
@@ -64,8 +64,9 @@ _POSITION_KINDS = ("floor", "ceil", "floor_star", "ceil_star")
 _FOURIER_KINDS = {"F_floor_star": "floor", "F_ceil_star": "ceil"}  # the G_b family's point kinds
 
 
-def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
-    """Pointwise kernel values.
+def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> QDValue:
+    """Pointwise kernel values as QDValues: each G_b factor is evaluated once,
+    and the value carries the factors' backend and summed relative estimates.
 
     Position-picture kinds take args (alpha, x, x1, x2):
 
@@ -83,41 +84,21 @@ def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> complex:
       F_ceil_star  = G_b(-i lam + i t1) G_b(i t2 + i lam)/G_b(i t)
                      e^{pi i lam(lam+2 t2)} e^{-2 pi i t1 t2}
     """
-    if kind in _POSITION_KINDS:
-        alpha, x, x1, x2 = (complex(v) for v in args)
-        g = [gb(z, p, tol).value for z in _gb_args(kind, args, p)]
-        if kind in ("floor", "floor_star"):
-            base = p.zeta_b_bar * np.exp(2j * np.pi * (x - x1) * (x2 - x1 + alpha)) / g[0]
-            if kind == "floor":
-                return complex(base)
-            star = p.zeta_b_bar * np.exp(-1j * np.pi * (x - x1) ** 2) / g[1]
-            return complex(star * base)
-        base = p.zeta_b * np.exp(-2j * np.pi * (x - x1) * (x2 - x1 + alpha)) * g[0]
-        if kind == "ceil":
-            return complex(base)
-        star = p.zeta_b * np.exp(1j * np.pi * (x - x1) ** 2) * g[1]
-        return complex(star * base)
-
     if kind in _FOURIER_KINDS:
         return _gb_kernel(p, tol).point(_FOURIER_KINDS[kind], *(complex(v) for v in args))
-    raise DomainError(f"unknown kernel kind {kind!r}")
-
-
-def _gb_args(kind: str, args, p: ModularParam) -> list[complex]:
-    """The points at which q_kernel evaluates its G_b factors."""
-    if kind in _FOURIER_KINDS:
-        x, y, s = _Kernel.point_args(_FOURIER_KINDS[kind], *(complex(v) for v in args))
-        return [1j * x, -1j * y, -1j * s]
+    if kind not in _POSITION_KINDS:
+        raise DomainError(f"unknown kernel kind {kind!r}")
     alpha, x, x1, x2 = (complex(v) for v in args)
-    zs = [p.Q + 1j * x - 1j * x2 if kind.startswith("floor") else 1j * x - 1j * x2]
-    return zs + [p.Q / 2 + 1j * alpha] if kind.endswith("_star") else zs
-
-
-def q_kernel_value(kind: str, args, p: ModularParam, tol: float = 1e-10) -> QDValue:
-    """q_kernel with the backend of its G_b factors and an error estimate: the
-    factors' relative error estimates, which add over the product and quotient,
-    times the kernel's modulus."""
-    return _factor_estimate(q_kernel(kind, args, p, tol), _gb_args(kind, args, p), p, tol)
+    if kind.startswith("floor"):
+        base = p.zeta_b_bar * np.exp(2j * np.pi * (x - x1) * (x2 - x1 + alpha)) \
+            / gb(p.Q + 1j * x - 1j * x2, p, tol)
+        star = lambda: p.zeta_b_bar * np.exp(-1j * np.pi * (x - x1) ** 2) \
+            / gb(p.Q / 2 + 1j * alpha, p, tol)
+    else:
+        base = p.zeta_b * np.exp(-2j * np.pi * (x - x1) * (x2 - x1 + alpha)) \
+            * gb(1j * x - 1j * x2, p, tol)
+        star = lambda: p.zeta_b * np.exp(1j * np.pi * (x - x1) ** 2) * gb(p.Q / 2 + 1j * alpha, p, tol)
+    return star() * base if kind.endswith("_star") else base
 
 
 # ---------------------------------------------------------------------------
@@ -181,5 +162,5 @@ def kernel_limit_residual(lam: float, t1: float, t2: float, r: float,
     """
     p = from_r(r)
     b = p.b
-    quantum = b * _gb_kernel(p, tol).point(variant, b * lam, b * t1, b * t2)
+    quantum = b * _gb_kernel(p, tol).point(variant, b * lam, b * t1, b * t2).value
     return float(abs(quantum - classical_kernel(variant, lam, t1, t2)))

@@ -14,13 +14,9 @@ import numpy as np
 from . import axb, corep, qtransform
 from . import qdilog as qd
 from .classw import ClassWFunction, mellin_forward
+from .errors import DomainError
 from .gammafn import binomial_mellin_residual, gamma, gamma_beta_residual, hyp2f1_contour, hyp2f1_series
 from .modular import ModularParam, from_b, from_b2, from_r
-
-SUITES = (
-    "gb-identities", "tau-beta", "q-binomial", "fourier-gb",
-    "classical-rep", "q-intertwiner", "corep", "limits",
-)
 
 _F2F1_REF = 0.8980205314670296802334669  # 2F1(0.5,1.3,2.1;-0.4), frozen oracle
 
@@ -326,14 +322,14 @@ def suite_q_intertwiner(tol: float = 1e-3, seed: int = 0) -> list[dict]:
     # kernel conjugation (1e-10 per acceptance)
     worst = 0.0
     for (lam, t1, t2) in [(0.3, 0.8, 1.1), (0.5, 1.0, 1.5), (-0.4, 0.6, 0.9), (0.2, 0.5, 0.3)]:
-        kf = qtransform.q_kernel("F_floor_star", (lam, t1, t2), p8)
-        kc = qtransform.q_kernel("F_ceil_star", (lam, t1, t2), p8)
+        kf = qtransform.q_kernel("F_floor_star", (lam, t1, t2), p8).value
+        kc = qtransform.q_kernel("F_ceil_star", (lam, t1, t2), p8).value
         worst = max(worst, abs(kc - np.conj(kf)) / abs(kf))
     out.append(_rec("F_ceil_star = conj(F_floor_star)", "real-arg sample", worst, 1e-10))
     # starred modification is unimodular; phases unimodular
     args = (0.3, 0.7, 0.2, 1.1)
-    k_plain = qtransform.q_kernel("floor", args, p8)
-    k_star = qtransform.q_kernel("floor_star", args, p8)
+    k_plain = qtransform.q_kernel("floor", args, p8).value
+    k_star = qtransform.q_kernel("floor_star", args, p8).value
     out.append(_rec("|floor_star/floor| = 1", str(args), abs(abs(k_star / k_plain) - 1), 1e-8))
     lam, t1, t2 = 0.3, 0.8, 1.1
     out.append(_rec("phase factors unimodular", "(0.3,0.8,1.1)",
@@ -478,16 +474,16 @@ _SUITE_FN = {
     "corep": suite_corep,
     "limits": suite_limits,
 }
+SUITES = tuple(_SUITE_FN)  # in report order
 
 
 def run_suite(name: str, tol: float | None = None, seed: int = 42) -> list[dict]:
     """Run one named suite (or 'all'); tol overrides each check's default only
-    when given."""
-    names = SUITES if name == "all" else (name,)
+    when given.  An unknown name raises DomainError."""
+    if name != "all" and name not in _SUITE_FN:
+        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES + ('all',))}")
     records = []
-    for n in names:
-        if n not in _SUITE_FN:
-            raise ValueError(f"unknown suite {n!r}; choose from {SUITES + ('all',)}")
+    for n in SUITES if name == "all" else (name,):
         kwargs = {"seed": seed}
         if tol is not None:
             kwargs["tol"] = tol

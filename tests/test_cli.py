@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qplane.qdilog as qd
 from qplane import cli
 from qplane.cli import main, parse_complex
 from qplane.errors import DomainError
@@ -304,6 +305,25 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
         if written is not None:
             assert Path(out_path).read_bytes() == written
     assert cli._parser.cache_info().misses <= 1
+
+
+@pytest.mark.parametrize("argv, n_factors", [
+    (("qkernel", "0.3", "0.8", "1.1", "--kind", "F_floor_star"), 3),
+    (("qkernel", "0.3", "0.8", "1.1", "--kind", "F_ceil_star"), 3),
+    (("qkernel", "0.3", "0.8", "1.1", "0.2", "--kind", "floor_star"), 2),
+    (("qkernel", "0.3", "0.8", "1.1", "0.2", "--kind", "ceil_star"), 2),
+    (("qkernel", "0.3", "0.8", "1.1", "0.2", "--kind", "floor"), 1),
+    (("qkernel", "0.3", "0.8", "1.1", "0.2", "--kind", "ceil"), 1),
+    (("coaction-kernel", "0.3", "0.8"), 1),
+])
+def test_eval_kernel_evaluates_each_gb_factor_once(capsys, monkeypatch, argv, n_factors):
+    # the error estimate comes with the factors' values: no second evaluation
+    calls = []
+    gb_eval = qd._gb_eval
+    monkeypatch.setattr(qd, "_gb_eval", lambda *a: calls.append(a) or gb_eval(*a))
+    assert main(["eval", *argv, "--b", "0.8"]) == 0
+    assert json.loads(capsys.readouterr().out)["err_estimate"] > 0
+    assert len(calls) == n_factors
 
 
 @pytest.mark.parametrize("argv", [

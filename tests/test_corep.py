@@ -18,9 +18,17 @@ def test_monomial_exponents_read_off():
 
 
 def test_scalar_modulus():
-    scalar, _ = corep.coaction_kernel(0.3, 0.9, P08)
+    scalar = corep.coaction_kernel(0.3, 0.9, P08)[0].value
     expect = np.exp(np.pi * P08.Q.real * 0.6) * abs(qd.gb(-0.6j, P08).value)
     assert abs(abs(scalar) - expect) < 1e-10 * expect
+
+
+@pytest.mark.parametrize("p, x, t", [(P08, 0.3, 0.9), (from_b(1.2), 0.3, 3.8)])
+def test_coaction_kernel_estimate_is_its_gb_factors(p, x, t):
+    scalar, _ = corep.coaction_kernel(x, t, p)
+    g = qd.gb(1j * p.b * (x / p.b - t / p.b), p)
+    expected = g.err_estimate / abs(g.value) * abs(scalar.value)
+    assert scalar.backend == g.backend and abs(scalar.err_estimate - expected) <= 1e-12 * expected
 
 
 def test_monomial_reordering_phase():

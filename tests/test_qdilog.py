@@ -68,6 +68,17 @@ def test_ruijsenaars_base_values():
     assert abs(gm - 1.0 / gp) < 1e-10
     # halved-step self-check via the tolerance-driven error estimate
     assert qd.ruijsenaars_g(0.25, P08, tol=1e-11).err_estimate < 1e-11
+    # at complex z, |G| = |e^{iI}| is not 1 (2.98 here): the estimate is the
+    # error of I times |G|, an absolute error of G as every QDValue reports
+    z = 0.5 + 0.7j
+    g = qd.ruijsenaars_g(z, P08)
+    _, err_I = qd._g_line_integral(np.array([z]), 0.8, 1e-10)
+    assert abs(abs(g.value) - 2.98) < 0.01
+    assert abs(g.err_estimate - err_I * abs(g.value)) <= 1e-15 * g.err_estimate
+    # G_b(w) = e^{-i pi z^2/2} e^{-i pi Q^2/8} G(z) at w = Q/2 - i z
+    ref = qd.gb(P08.Q / 2 - 1j * z, P08, 1e-13).value \
+        * np.exp(0.5j * np.pi * z**2) * np.exp(1j * np.pi * P08.Q**2 / 8)
+    assert abs(g.value - ref) <= g.err_estimate
 
 
 def test_ruijsenaars_strip_guard():
@@ -133,6 +144,50 @@ def test_zero_lattice_values():
     assert abs(qd.gb(pc.Q + pc.b, pc).value) < 1e-12
     with pytest.raises(PoleError):
         qd.gb(-P08.b, P08)  # pole lattice raises instead
+
+
+def test_gb_underflow_is_a_domain_error():
+    # off the zero lattice an exactly 0 value underflowed: its log value is
+    # finite (-873.38+4.67i at this point of a 200-point rng(0) sweep of
+    # [-15, 15]^2), where it came back as -0-0j with err_estimate 0
+    x = -14.504 - 9.147j
+    with np.errstate(all="ignore"):
+        assert qd.gb_many(x, from_b2(0.3 + 0.4j))[0] == 0
+        message = r"underflows to 0 at \(-14\.504-9\.147j\) \(log G_b = -873\.378\+4\.666"
+        with pytest.raises(DomainError, match=message):
+            qd.gb(x, from_b2(0.3 + 0.4j))
+        # the integral backend, through a continuation product near overflow
+        with pytest.raises(DomainError, match="underflows to 0"):
+            qd.gb(-7.52924235 - 12.83591957j, P08)
+
+
+def test_qdvalue_products_and_quotients():
+    a = qd.QDValue(2 + 1j, "integral", 1e-10)
+    b = qd.QDValue(0.5 - 1j, "functional-continuation", 3e-11)
+    rel = lambda v: v.err_estimate / abs(v.value)
+    # values formed as the plain numbers form them, relative estimates added
+    for v, ref in ((a * b, (2 + 1j) * (0.5 - 1j)), (a / b, (2 + 1j) / (0.5 - 1j)),
+                   (b / a, (0.5 - 1j) / (2 + 1j))):
+        assert v.value == ref and v.backend == "functional-continuation"
+        assert abs(rel(v) - rel(a) - rel(b)) < 1e-15 * rel(v)
+    # exact numbers on either side, numpy scalars on the left too, keep the
+    # relative estimate and the backend
+    z = np.exp(0.3j)
+    for v, ref in ((a * 3, (2 + 1j) * 3), (3 * a, 3 * (2 + 1j)), (2.5 / a, 2.5 / (2 + 1j)),
+                   (a / 2.5, (2 + 1j) / 2.5), (z * a, z * (2 + 1j)), (z / a, z / (2 + 1j)),
+                   (a * z, (2 + 1j) * z)):
+        assert isinstance(v, qd.QDValue) and v.value == ref and v.backend == "integral"
+        assert abs(rel(v) - rel(a)) < 1e-15 * rel(a)
+    # a zero value: no division by its modulus
+    zero = qd.QDValue(0j, "product", 1e-16)
+    assert (zero * a).value == 0 and (zero * a).err_estimate == pytest.approx(1e-16 * abs(a.value))
+    assert (zero / a).value == 0 and (zero / a).err_estimate == pytest.approx(1e-16 / abs(a.value))
+    with pytest.raises(ZeroDivisionError):
+        a / zero
+    # backend precedence: continuation, integral, product, closed-form
+    assert (zero * a).backend == "integral"
+    assert (zero * qd.QDValue(1.0, "closed-form", 0.0)).backend == "product"
+    assert (1j / qd.QDValue(2.0, "closed-form", 0.0)).backend == "closed-form"
 
 
 def test_backend_agreement_epsilon_extrapolation():

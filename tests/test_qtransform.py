@@ -7,7 +7,7 @@ import qplane.qdilog as qd
 from qplane import axb
 from qplane import qtransform as qt
 from qplane.contours import contour_nodes
-from qplane.modular import from_b
+from qplane.modular import from_b, from_b2
 
 P08 = from_b(0.8)
 GAUSS = lambda a, b: np.exp(-a**2 - b**2)
@@ -15,14 +15,14 @@ GAUSS = lambda a, b: np.exp(-a**2 - b**2)
 
 def test_fourier_kernel_conjugation():
     for (lam, t1, t2) in [(0.3, 0.8, 1.1), (0.5, 1.0, 1.5), (-0.4, 0.6, 0.9)]:
-        kf = qt.q_kernel("F_floor_star", (lam, t1, t2), P08)
-        kc = qt.q_kernel("F_ceil_star", (lam, t1, t2), P08)
+        kf = qt.q_kernel("F_floor_star", (lam, t1, t2), P08).value
+        kc = qt.q_kernel("F_ceil_star", (lam, t1, t2), P08).value
         assert abs(kc - np.conj(kf)) / abs(kf) < 1e-10
 
 
 def test_fourier_kernel_fixture_value():
     # composition of integral-backend evaluations; regression-pinned
-    v = qt.q_kernel("F_floor_star", (0.3, 0.8, 1.1), P08)
+    v = qt.q_kernel("F_floor_star", (0.3, 0.8, 1.1), P08).value
     w = (qd.gb(-1j * 0.8 + 1j * 0.3, P08).value * qd.gb(-1j * 1.1 - 1j * 0.3, P08).value
          / qd.gb(-1j * 1.9, P08).value * np.exp(1j * np.pi * 0.3 * (0.3 - 1.6)))
     assert abs(v - w) < 1e-12 * abs(v)
@@ -32,7 +32,7 @@ def test_plain_kernel_display_equality():
     # floor = zeta_bar e^{...}/G_b(Q+ix-ix2) equals the reflection-expanded
     # form zeta_bar e^{...} e^{i pi (x2-x)^2} e^{pi Q (x-x2)} G_b(i x2 - i x)
     alpha, x, x1, x2 = 0.3, 0.7, 0.2, 1.1
-    lhs = qt.q_kernel("floor", (alpha, x, x1, x2), P08)
+    lhs = qt.q_kernel("floor", (alpha, x, x1, x2), P08).value
     rhs = (P08.zeta_b_bar * np.exp(2j * np.pi * (x - x1) * (x2 - x1 + alpha))
            * np.exp(1j * np.pi * (x2 - x) ** 2) * np.exp(np.pi * P08.Q * (x - x2))
            * qd.gb(1j * x2 - 1j * x, P08).value)
@@ -42,7 +42,7 @@ def test_plain_kernel_display_equality():
 def test_starred_kernels_unimodular_factors():
     args = (0.3, 0.7, 0.2, 1.1)
     for plain, star in (("floor", "floor_star"), ("ceil", "ceil_star")):
-        ratio = qt.q_kernel(star, args, P08) / qt.q_kernel(plain, args, P08)
+        ratio = qt.q_kernel(star, args, P08).value / qt.q_kernel(plain, args, P08).value
         assert abs(abs(ratio) - 1.0) < 1e-10
 
 
@@ -107,7 +107,7 @@ def test_point_kernels_are_the_transform_integrands(family, kind, level):
         point = lambda lam, t1, t2: axb.classical_kernel(kind, lam, t1, t2)
     else:
         kernel = qt._gb_kernel(P08, 1e-9)
-        point = lambda lam, t1, t2: qt.q_kernel(f"F_{kind}_star", (lam, t1, t2), P08, 1e-9)
+        point = lambda lam, t1, t2: qt.q_kernel(f"F_{kind}_star", (lam, t1, t2), P08, 1e-9).value
     if kind == "floor":
         lam, t = 0.3, 0.9
         u, w = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
@@ -129,6 +129,28 @@ def test_kernel_limit_monotone():
                 for r in (0.1, 0.05, 0.025)]
         assert vals[0] > vals[1] > vals[2]
         assert qt.kernel_limit_residual(0.5, 1.0, 1.5, 1e-3, variant=variant) < 1e-2
+
+
+@pytest.mark.parametrize("p", [P08, from_b(1.2), from_b2(0.3 + 0.4j)], ids=["b=0.8", "b=1.2", "b2=0.3+0.4i"])
+def test_kernel_estimate_is_the_factors_relative_estimates(p):
+    # each kind's G_b factors, at the arguments the kernel forms them
+    def factors(kind, args):
+        if kind.startswith("F_"):
+            x, y, s = axb._Kernel.point_args(qt._FOURIER_KINDS[kind], *args)
+            return [1j * x, -1j * y, -1j * s]
+        alpha, x, x1, x2 = args
+        zs = [p.Q + 1j * x - 1j * x2] if kind.startswith("floor") else [1j * x - 1j * x2]
+        return zs + [p.Q / 2 + 1j * alpha] if kind.endswith("_star") else zs
+
+    for kind in ("F_floor_star", "F_ceil_star", "floor", "ceil", "floor_star", "ceil_star"):
+        args = (0.3, 0.8, 1.1) if kind.startswith("F_") else (0.3, 0.7, 0.2, 1.1)
+        k = qt.q_kernel(kind, args, p)
+        gs = [qd.gb(z, p) for z in factors(kind, args)]
+        expected = sum(g.err_estimate / abs(g.value) for g in gs) * abs(k.value)
+        assert abs(k.err_estimate - expected) <= 1e-12 * expected, kind
+        backends = {g.backend for g in gs}
+        assert k.backend == ("functional-continuation" if "functional-continuation" in backends
+                             else gs[0].backend)
 
 
 def test_unknown_kind_rejected():
