@@ -40,7 +40,21 @@ class _Exit(Exception):
     """The end of a command line that argparse handles itself (-h/--help)."""
 
 
+class _ValueToken:
+    """In place of argparse's negative-number pattern: a token starting with '-'
+    is a value, not an option, whenever parse_complex can read it ('-0.5i',
+    '-14.5-9.1i', '-Q/2'), not only when it is a plain negative number."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        return bool(_Q_RE.match(token)) or _complex_or_none(token) is not None
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _ValueToken  # subparsers are _Parsers too
+
     def error(self, message):
         # main prints the message and returns 64, also when called in process
         self.print_usage(sys.stderr)
@@ -51,7 +65,15 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(status)
 
 
-_Q_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*Q\s*(?:/\s*(\d+\.?\d*))?$")
+_Q_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*Q\s*(?:/\s*(\d+\.?\d*))?$")
+
+
+def _complex_or_none(token: str) -> complex | None:
+    """'0.3+0.4i' (or 'j') as a complex number; None if it is not one."""
+    try:
+        return complex(token.replace("i", "j"))
+    except ValueError:
+        return None
 
 
 def parse_complex(token: str, p: ModularParam | None = None) -> complex:
@@ -66,10 +88,8 @@ def parse_complex(token: str, p: ModularParam | None = None) -> complex:
         mult = 1.0 if coeff in ("", "+") else (-1.0 if coeff == "-" else float(coeff))
         div = float(m.group(2)) if m.group(2) else 1.0
         return complex(mult * p.Q / div)
-    try:
-        value = complex(token.replace("i", "j"))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse complex value {token!r}") from exc
+    if (value := _complex_or_none(token)) is None:
+        raise DomainError(f"cannot parse complex value {token!r}")
     if not cmath.isfinite(value):
         raise DomainError(f"non-finite value {token!r}")
     return value

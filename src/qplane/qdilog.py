@@ -13,6 +13,9 @@ Two backends realize the same meromorphic function:
   exponentials per point and a small matrix product, instead of n_y
   exponentials and reciprocals.
 
+Both backends form log G_b (``_gb_eval``); ``gb_many`` and ``gb`` take its
+exponential, so a value that over- or underflows is told from a zero of G_b.
+
 On top of the evaluator sit the identity residuals (functional equations,
 reflection, conjugation, self-duality), residue checks, the beta-integral
 analogue (tau-beta), the Fourier transformation formulas, the q-binomial
@@ -257,47 +260,36 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
     return (total - flat).reshape(z.shape), err
 
 
-def _gb_integral_many(w: np.ndarray, p: ModularParam, tol: float):
-    """G_b on arbitrary arguments for real b, via shifts into the base window.
+def _log_gb_integral_many(w: np.ndarray, p: ModularParam, tol: float):
+    """log G_b on arbitrary arguments for real b, via shifts into the base window.
 
-    Returns (values, err, shifted, log) where shifted reports whether any
-    functional-equation continuation was applied and log() forms the log
-    values from the same pieces.
+    Returns (log values, err, shifted) where shifted reports whether any
+    functional-equation continuation was applied.  The continuation factors
+    join the log one at a time: their product can over- or underflow where
+    G_b itself does not.
     """
     b = float(p.b.real)
     Q = b + 1.0 / b
     flat = w.ravel().astype(complex)
     w_lo = (Q - b) / 2.0
     k = np.ceil((w_lo - flat.real) / b).astype(int)
-    corr = np.ones(flat.shape, dtype=complex)
+    ln_shift = np.zeros(flat.shape, dtype=complex)
     kmax = int(k.max(initial=0))
     for j in range(kmax):
         mask = k > j
-        if not mask.any():
-            break
         f = 1.0 - np.exp(2j * np.pi * b * (flat[mask] + j * b))
         if np.any(np.abs(f) < _POLE_FACTOR_EPS):
             raise PoleError("argument numerically on the pole lattice of G_b")
-        corr[mask] = corr[mask] * f
-    mult = np.ones(flat.shape, dtype=complex)
+        ln_shift[mask] -= np.log(f)
     kmin = int(k.min(initial=0))
-    for j in range(1, -kmin + 1):
-        mask = k <= -j
-        if not mask.any():
-            break
-        mult[mask] = mult[mask] * (1.0 - np.exp(2j * np.pi * b * (flat[mask] - j * b)))
-    wsh = flat + k * b
-    z = 1j * (wsh - Q / 2.0)
+    with np.errstate(divide="ignore"):  # a factor exactly 0: a zero of G_b, log -inf
+        for j in range(1, -kmin + 1):
+            mask = k <= -j
+            ln_shift[mask] += np.log(1.0 - np.exp(2j * np.pi * b * (flat[mask] - j * b)))
+    z = 1j * (flat + k * b - Q / 2.0)
     I, err = _g_line_integral(z, b, tol)
-    G = np.exp(1j * I)
-    gb_base = np.exp(-0.5j * np.pi * z**2) * np.exp(-1j * np.pi * Q**2 / 8.0) * G
-    vals = gb_base * mult / corr
-
-    def log():  # NaN where corr overflowed: its log is lost
-        ln = -0.5j * np.pi * z**2 - 1j * np.pi * Q**2 / 8.0 + 1j * I + np.log(mult) - np.log(corr)
-        return np.where(np.isfinite(corr), ln, np.nan).reshape(w.shape)
-
-    return vals.reshape(w.shape), err, bool(kmax > 0 or kmin < 0), log
+    ln = 1j * I - 0.5j * np.pi * z**2 - 1j * np.pi * Q**2 / 8.0 + ln_shift
+    return ln.reshape(w.shape), err, bool(kmax > 0 or kmin < 0)
 
 
 def _finite_args(x) -> np.ndarray:
@@ -313,20 +305,18 @@ def _finite_args(x) -> np.ndarray:
 
 
 def _gb_eval(x, p: ModularParam, tol: float):
-    """G_b on a batch: the values, the backend's relative error estimate, the
-    backend's name, and a function forming the log values (on demand: only
-    an exactly zero value needs them)."""
+    """log G_b on a batch: the log values, the backend's error estimate (an
+    absolute error of the log, so a relative error of G_b) and its name."""
     xx = _finite_args(x)
     if p.regime == "product":
-        ln, tail = _log_gb_product_many(xx, p, tol)
-        return np.exp(ln), tail, "product", lambda: ln
-    vals, err, shifted, log = _gb_integral_many(xx, p, tol)
-    return vals, err, "functional-continuation" if shifted else "integral", log
+        return (*_log_gb_product_many(xx, p, tol), "product")
+    ln, err, shifted = _log_gb_integral_many(xx, p, tol)
+    return ln, err, "functional-continuation" if shifted else "integral"
 
 
 def gb_many(x, p: ModularParam, tol: float = 1e-10) -> np.ndarray:
     """Vectorized G_b(x); the workhorse behind every kernel evaluation."""
-    return _gb_eval(x, p, tol)[0]
+    return np.exp(_gb_eval(x, p, tol)[0])
 
 
 def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
@@ -336,16 +326,16 @@ def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     integral representation, continued by G_b(x+b) = (1-e^{2 pi i b x})G_b(x)
     when Re(x) falls outside the base window.  Arguments on the pole lattice
     -n b - m/b raise PoleError; on the zero lattice Q + n b + m/b the value
-    comes out zero or nearly so.  A non-finite argument or value raises
-    DomainError, and so does a value that is exactly 0 off the zero lattice,
-    where it underflowed (the log value tells the two apart: its real part
-    is -inf only on the lattice).
+    comes out zero or nearly so (log G_b has real part -inf only there).  A
+    non-finite argument or value raises DomainError, and so does a value that
+    underflows to 0 from a finite log.
     """
-    vals, err, backend, log = _gb_eval(x, p, tol)
-    v = complex(vals[0])
+    lns, err, backend = _gb_eval(x, p, tol)
+    ln = complex(lns.flat[0])
+    v = complex(np.exp(ln))
     if not cmath.isfinite(v):
-        raise DomainError(f"G_b is not finite at {x}")
-    if v == 0 and (ln := complex(log().ravel()[0])).real != -np.inf:
+        raise DomainError(f"G_b is not finite at {x} (log G_b = {ln:.6g})")
+    if v == 0 and ln.real != -np.inf:
         raise DomainError(f"G_b underflows to 0 at {x} (log G_b = {ln:.6g})")
     return QDValue(v, backend, err * abs(v))
 
@@ -427,7 +417,9 @@ def veta_integral(z, p: ModularParam, tol: float = 1e-10) -> complex:
 
 
 def verify_identity(kind: str, x, p: ModularParam, tol: float = 1e-10) -> float | np.ndarray:
-    """Relative residual of one of the defining identities of G_b at x.
+    """Relative residual |lhs/rhs - 1| of one of the defining identities of G_b at x,
+    formed from the log difference d as |expm1(d)|: finite wherever both sides' logs
+    are, however far G_b itself over- or underflows.
 
     Vectorized over an array x; a scalar x gives a float.
     kinds: functional_b, functional_binv, reflection, conjugation, selfduality.
@@ -436,32 +428,29 @@ def verify_identity(kind: str, x, p: ModularParam, tol: float = 1e-10) -> float 
     """
     xs = np.asarray(x, dtype=complex)
     Q = p.Q
+
+    def L(w, pp=p):
+        return _gb_eval(w, pp, tol)[0].reshape(xs.shape)
+
     if kind == "functional_b":
-        lhs = gb_many(xs + p.b, p, tol)
-        rhs = (1 - np.exp(2j * np.pi * p.b * xs)) * gb_many(xs, p, tol)
+        d = L(xs + p.b) - np.log(1 - np.exp(2j * np.pi * p.b * xs)) - L(xs)
     elif kind == "functional_binv":
-        lhs = gb_many(xs + 1 / p.b, p, tol)
-        rhs = (1 - np.exp(2j * np.pi * xs / p.b)) * gb_many(xs, p, tol)
+        d = L(xs + 1 / p.b) - np.log(1 - np.exp(2j * np.pi * xs / p.b)) - L(xs)
     elif kind == "reflection":
-        lhs = gb_many(xs, p, tol) * gb_many(Q - xs, p, tol)
-        rhs = np.exp(1j * np.pi * xs * (xs - Q))
-    elif kind == "conjugation":
+        d = L(xs) + L(Q - xs) - 1j * np.pi * xs * (xs - Q)
+    elif kind == "conjugation":  # conj G_b(x) (or its reflection form) times G_b(Q - conj x) is 1
         xb = np.conj(xs)
-        if p.regime == "integral":
-            lhs = np.conj(gb_many(xs, p, tol))
-        else:
-            lhs = np.exp(1j * np.pi * xb * (Q - xb)) * gb_many(xb, p, tol)
-        rhs = 1.0 / gb_many(Q - xb, p, tol)
+        lhs = np.conj(L(xs)) if p.regime == "integral" else 1j * np.pi * xb * (Q - xb) + L(xb)
+        d = lhs + L(Q - xb)
     elif kind == "selfduality":
         if p.regime != "integral":
             raise DomainError("self-duality check needs the integral regime "
                               "(the product for the dual parameter diverges)")
-        lhs = gb_many(xs, p, tol)
-        rhs = gb_many(xs, p.dual(), tol)
+        d = L(xs) - L(xs, p.dual())
     else:
         raise ValueError(f"unknown identity kind {kind!r}")
-    res = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
-    return float(res[0]) if xs.ndim == 0 else res
+    res = np.abs(np.expm1(d))
+    return float(res) if xs.ndim == 0 else res
 
 
 def _lattice_gap(lattice: np.ndarray, z0: complex) -> float:
@@ -537,7 +526,12 @@ def tau_beta_residual(alpha, beta, p: ModularParam, tol: float = 1e-8) -> float:
     return abs(lhs - rhs) / abs(rhs)
 
 
-_FOURIER_SLOPES = {1: -0.5, 2: 0.5, 3: -0.5, 4: 0.5}
+# per formula: the sign s of the wave e^{2 pi i s t r} (s = 1: divide by G_b(Q+it), line
+# above 0; s = -1: multiply by G_b(it), line below 0), whether the damping is the Gaussian
+# e^{-pi i s t^2} (else e^{-pi Q t}), the line's slope, and whether the right-hand side is
+# zeta_b_bar / G_b(Q/2-ir) (else zeta_b G_b(Q/2-ir))
+_FOURIER = {1: (1, True, -0.5, True), 2: (1, False, 0.5, False),
+            3: (-1, False, -0.5, True), 4: (-1, True, 0.5, False)}
 
 
 def fourier_gb_residual(which: int, r: float, p: ModularParam, tol: float = 1e-8) -> float:
@@ -552,36 +546,20 @@ def fourier_gb_residual(which: int, r: float, p: ModularParam, tol: float = 1e-8
     end where the integrand would otherwise only oscillate; the tilt stays
     clear of both pole ladders, which sit on the imaginary axis.
     """
-    if which not in (1, 2, 3, 4):
+    if which not in _FOURIER:
         raise ValueError("which must be 1..4")
-    slope = _FOURIER_SLOPES[which]
-    side = "above" if which in (1, 2) else "below"
+    s, gaussian, slope, over = _FOURIER[which]
     Q = p.Q
     radius = 0.2 * min(abs(p.b), abs(1 / p.b))
-    T = 5.0 + abs(r)
-    cont = Contour(0.0, (Detour(0j, side, radius),), T, slope)
+    cont = Contour(0.0, (Detour(0j, "above" if s > 0 else "below", radius),), 5.0 + abs(r), slope)
 
-    if which == 1:
-        def f(t):
-            return np.exp(2j * np.pi * t * r) * np.exp(-1j * np.pi * t**2) \
-                / gb_many(Q + 1j * t, p, tol)
-        rhs = p.zeta_b_bar / gb(Q / 2 - 1j * r, p, tol).value
-    elif which == 2:
-        def f(t):
-            return np.exp(2j * np.pi * t * r) * np.exp(-np.pi * Q * t) \
-                / gb_many(Q + 1j * t, p, tol)
-        rhs = p.zeta_b * gb(Q / 2 - 1j * r, p, tol).value
-    elif which == 3:
-        def f(t):
-            return np.exp(-2j * np.pi * t * r) * np.exp(-np.pi * Q * t) \
-                * gb_many(1j * t, p, tol)
-        rhs = p.zeta_b_bar / gb(Q / 2 - 1j * r, p, tol).value
-    else:
-        def f(t):
-            return np.exp(-2j * np.pi * t * r) * np.exp(1j * np.pi * t**2) \
-                * gb_many(1j * t, p, tol)
-        rhs = p.zeta_b * gb(Q / 2 - 1j * r, p, tol).value
+    def f(t):
+        damping = np.exp(-1j * s * np.pi * t**2) if gaussian else np.exp(-np.pi * Q * t)
+        wave = np.exp(2j * np.pi * s * t * r) * damping
+        return wave / gb_many(Q + 1j * t, p, tol) if s > 0 else wave * gb_many(1j * t, p, tol)
 
+    g = gb(Q / 2 - 1j * r, p, tol).value
+    rhs = p.zeta_b_bar / g if over else p.zeta_b * g
     lhs = integrate_contour(f, cont, tol=tol).value
     return abs(lhs - rhs) / abs(rhs)
 

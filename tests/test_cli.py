@@ -87,6 +87,20 @@ def test_eval_contour_functions_report_the_quadrature_error(argv):
     assert 0 < rec["err_estimate"] <= float(argv[-1])
 
 
+@pytest.mark.parametrize("argv, fn, arg", [
+    (("eval", "gamma", "-0.5+0.1i"), "gamma", -0.5 + 0.1j),
+    (("eval", "gb", "-0.5i", "--b", "0.8"), "gb", -0.5j),
+    (("eval", "gb", "-Q/2", "--b", "0.8"), "gb", -from_b(0.8).Q / 2),
+])
+def test_eval_takes_negative_complex_values(capsys, argv, fn, arg):
+    # a token starting with '-' that parse_complex reads is a value, not an option
+    assert main(list(argv)) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["function"] == fn and rec["args"] == [{"re": arg.real, "im": arg.imag}]
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == "" and json.loads(out) == rec
+
+
 def test_usage_exit_code():
     code, _, _ = run_cli("bogus-subcommand")
     assert code == 64
@@ -114,6 +128,8 @@ def test_usage_exit_code():
     (("eval", "gb", "0.5+nani", "--b", "0.8"), 2),
     (("eval", "hyp2f1", "0.3", "1", "2", "nan"), 2),
     (("eval", "gamma", "200"), 2),
+    (("eval", "gb", ".Q", "--b", "0.8"), 2),
+    (("eval", "gb", "-14.504-9.147i", "--b2", "0.3+0.4i"), 2),
 ])
 def test_bad_invocation_exit_codes(tmp_path, argv, code):
     # a wrong value count or a --tol that is not a positive finite number is a
@@ -129,6 +145,8 @@ def test_bad_invocation_exit_codes(tmp_path, argv, code):
         assert "transform input schema violation" in err
     if code == 2 and (bad := [a for a in argv if "nan" in a]):
         assert err == f"domain error: non-finite value {bad[0]!r}\n"
+    if "-14.504-9.147i" in argv:  # a value, once read as an unknown option (64)
+        assert err == "domain error: G_b underflows to 0 at (-14.504-9.147j) (log G_b = -873.378+4.66636j)\n"
 
 
 def test_verify_determinism(tmp_path):

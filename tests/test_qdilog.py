@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -156,9 +158,19 @@ def test_gb_underflow_is_a_domain_error():
         message = r"underflows to 0 at \(-14\.504-9\.147j\) \(log G_b = -873\.378\+4\.666"
         with pytest.raises(DomainError, match=message):
             qd.gb(x, from_b2(0.3 + 0.4j))
-        # the integral backend, through a continuation product near overflow
-        with pytest.raises(DomainError, match="underflows to 0"):
-            qd.gb(-7.52924235 - 12.83591957j, P08)
+        # the integral backend, its continuation factors summed as logs
+        assert qd.gb_many(x, from_b(1.0))[0] == 0
+        message = r"underflows to 0 at \(-14\.504-9\.147j\) \(log G_b = -891\.05-263\.507"
+        with pytest.raises(DomainError, match=message):
+            qd.gb(x, from_b(1.0))
+    # where the continuation product overflowed, G_b is a representable 1.9e-300
+    x = -7.52924235 - 12.83591957j
+    ln = -689.9035911406714 - 522.141659974532j
+    g = qd.gb(x, P08)
+    assert g.backend == "functional-continuation"
+    assert abs(g.value - np.exp(ln)) <= 1e-12 * abs(np.exp(ln)) and abs(g.value) > 1.9e-300
+    assert abs(qd._gb_eval(x, P08, 1e-10)[0][0] - ln) < 1e-12 * abs(ln)
+    assert qd.gb_many(np.array([x, 0.5]), P08)[0] == g.value
 
 
 def test_qdvalue_products_and_quotients():
@@ -342,8 +354,41 @@ def test_gb_below_the_zeta_underflow(r):
 def test_gb_non_finite_value_is_a_domain_error():
     # one of the points of a 200-point rng(0) sweep of [-15, 15]^2 where G_b
     # at b = 1 overflows; it came back as NaN without a signal
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="not finite"):
-        qd.gb(-14.504 - 9.147j, from_b(1.0))
+    x = 10.72212829762708 - 13.11313504635086j
+    message = r"not finite at .* \(log G_b = 801\.028-527\.844"
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=message):
+        qd.gb(x, from_b(1.0))
+
+
+# a 200-point rng(0) sweep of [-15, 15]^2, where G_b spans e^{-891} to e^{801}
+_SWEEP_RNG = np.random.default_rng(0)
+SWEEP = _SWEEP_RNG.uniform(-15, 15, 200) + 1j * _SWEEP_RNG.uniform(-15, 15, 200)
+
+
+@pytest.mark.parametrize("p", [from_b(1.0), from_b(0.3), from_b2(0.3 + 0.4j)],
+                         ids=["b=1", "b=0.3", "b2=0.3+0.4i"])
+def test_wide_box_gb_and_identities(p):
+    # each point's G_b is a finite nonzero value, or a DomainError that says why:
+    # an underflow exactly where Re log G_b < -745, an overflow where it is > 709
+    ln = qd._gb_eval(SWEEP, p, 1e-10)[0]
+    assert np.isfinite(ln).all()
+    kinds = []
+    with np.errstate(all="ignore"):
+        for x, lx in zip(SWEEP, ln):
+            try:
+                v = qd.gb(x, p).value
+            except DomainError as exc:
+                kinds.append("under" if "underflows" in str(exc) else "over")
+                assert ("not finite" in str(exc)) == (kinds[-1] == "over")
+            else:
+                kinds.append("value")
+                assert cmath.isfinite(v) and v != 0
+        assert kinds == ["under" if lx.real < -745 else "over" if lx.real > 709 else "value"
+                         for lx in ln]
+        assert kinds.count("under") and kinds.count("over")
+        # the identities in log form are finite wherever the logs are
+        for kind in ("functional_b", "reflection"):
+            assert np.isfinite(qd.verify_identity(kind, SWEEP, p)).all()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
