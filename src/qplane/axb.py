@@ -294,7 +294,7 @@ def _roundtrip(kernel: _Kernel, f: TwoVarFn, t1, t2) -> complex:
 
 _GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y),
                  lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
-                 lambda s: _separating_contour(s, _TRUNCATION), 0.5)
+                 lambda s: _separating_contour(s, _TRUNCATION), 1.0)
 
 
 def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:

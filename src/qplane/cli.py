@@ -54,6 +54,22 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _ValueToken  # subparsers are _Parsers too
+        self._intermixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand takes its options before, between or after its values
+        # ('eval gb --b 0.8 0.5'): a parse that leaves tokens over is redone
+        # intermixed, which calls back in here and costs a few times more
+        if self._subparsers is not None or self._intermixing:
+            return super().parse_known_args(args, namespace)
+        parsed = super().parse_known_args(args, namespace)
+        if not parsed[1]:
+            return parsed
+        self._intermixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixing = False
 
     def error(self, message):
         # main prints the message and returns 64, also when called in process
@@ -66,12 +82,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 _Q_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*Q\s*(?:/\s*(\d+\.?\d*))?$")
+_UNIT_RE = re.compile(r"[iI](?=\)?\s*$)")  # the imaginary unit ends a complex literal
 
 
 def _complex_or_none(token: str) -> complex | None:
-    """'0.3+0.4i' (or 'j') as a complex number; None if it is not one."""
+    """'0.3+0.4i' (or 'j') as a complex number; None if it is not one.  Only
+    a final 'i' is the unit: 'inf' and 'infinity' keep theirs."""
     try:
-        return complex(token.replace("i", "j"))
+        return complex(_UNIT_RE.sub("j", token))
     except ValueError:
         return None
 

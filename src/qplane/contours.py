@@ -6,7 +6,9 @@ to ``|Re z| <= T``, with explicit semicircular detours around poles that sit
 on or near the line.  Integrands must be vectorized: ``f(z: ndarray) -> ndarray``.
 
 Both contour rules map their nodes onto one panel table, ``_base_panels``:
-equal panels per piece, doubled in number at each fixed level.
+on a segment, panels graded geometrically toward the poles of the detours it
+meets and no wider than ``max_panel`` elsewhere, two on an arc, and each of
+them bisected at every fixed level.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
@@ -19,6 +21,7 @@ spectrally accurate for analytic integrands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -137,7 +140,9 @@ _ROUNDING = 50 * np.finfo(float).eps  # QUADPACK's rounding floor, per unit of s
 
 
 def _pieces(contour: Contour) -> list[tuple]:
-    """Decompose the contour into ('seg', z0, z1) and ('arc', c, R, th0, th1) pieces."""
+    """Decompose the contour into ('seg', z0, z1, d0, d1) and ('arc', c, R, th0, th1)
+    pieces; d0 and d1 are the distances of a segment's ends to the pole of the
+    detour each end meets (inf at the truncation ends)."""
     c = contour.imag_shift
     T = contour.truncation
     d = 1.0 + 1j * contour.slope
@@ -151,8 +156,12 @@ def _pieces(contour: Contour) -> list[tuple]:
     def line_point(u: float) -> complex:
         return 1j * c + d * u
 
+    def seg(z0: complex, z1: complex, p0: complex | None, p1: complex | None) -> tuple:
+        return ("seg", z0, z1, np.inf if p0 is None else abs(z0 - p0),
+                np.inf if p1 is None else abs(z1 - p1))
+
     pieces: list[tuple] = []
-    u_prev = -T
+    u_prev, p_prev = -T, None
     for dt in dets:
         # parameter of the pole's foot on the line
         u_p = ((dt.pole - 1j * c) / d).real
@@ -164,60 +173,83 @@ def _pieces(contour: Contour) -> list[tuple]:
         u_in, u_out = u_p - du, u_p + du
         if u_in < u_prev - 1e-12:
             raise DomainError("detour extends beyond previous piece")
-        pieces.append(("seg", line_point(u_prev), line_point(u_in)))
+        pieces.append(seg(line_point(u_prev), line_point(u_in), p_prev, dt.pole))
         if needs_leg:
             # vertical legs from the line up/down to the pole's height
             entry = line_point(u_in)
             exitp = line_point(u_out)
             leg_in = dt.pole - dt.radius
             leg_out = dt.pole + dt.radius
-            pieces.append(("seg", entry, leg_in))
+            pieces.append(seg(entry, leg_in, dt.pole, dt.pole))
             if above:
                 pieces.append(("arc", dt.pole, dt.radius, np.pi, 0.0))
             else:
                 pieces.append(("arc", dt.pole, dt.radius, np.pi, 2 * np.pi))
-            pieces.append(("seg", leg_out, exitp))
+            pieces.append(seg(leg_out, exitp, dt.pole, dt.pole))
         else:
             if above:
                 pieces.append(("arc", dt.pole, dt.radius, phi + np.pi, phi))
             else:
                 pieces.append(("arc", dt.pole, dt.radius, phi + np.pi, phi + 2 * np.pi))
-        u_prev = u_out
-    pieces.append(("seg", line_point(u_prev), line_point(T)))
+        u_prev, p_prev = u_out, dt.pole
+    pieces.append(seg(line_point(u_prev), line_point(T), p_prev, None))
     return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
 
 
-def _n_panels(piece: tuple, max_panel: float) -> int:
-    """Base panel count of a piece: ceil(length / max_panel) on a segment, 2 on an arc."""
-    if piece[0] == "seg":
-        return max(1, int(np.ceil(abs(piece[2] - piece[1]) / max_panel)))
-    return 2
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """The n + 1 edges ``np.linspace(lo, hi, n + 1)`` gives, as a list of floats."""
+    step = (hi - lo) / n
+    return [k * step + lo for k in range(n)] + [hi]
+
+
+def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> list[float]:
+    """Base panel edges of a segment, as fractions s in [0, 1] of its length.
+
+    An end at distance d < max_panel from a pole gets edges at d (2^k - 1),
+    k = 1, 2, ...: panels of width d, 2d, 4d, ..., each its own width from
+    the pole, while the width stays under max_panel and the edge inside the
+    end's room (the segment, or its half when both ends are graded) by more
+    than rounding, so that a run which would fill its room exactly, as in a
+    pinch whose detours are a quarter of the gap, leaves no sliver.  The
+    span between the two runs gets ceil(span / max_panel) equal panels; in
+    a pinch it is at most twice as wide as it is far from the poles.
+    """
+    room = (0.5 if max(d0, d1) < max_panel else 1.0) * length * (1 - 1e-9)
+
+    def run(dist: float) -> list[float]:
+        k = 0
+        while dist * 2**k < max_panel and dist * (2 ** (k + 1) - 1) < room:
+            k += 1
+        return [0.0] + [dist * (2**j - 1) / length for j in range(1, k + 1)]
+
+    head, tail = run(d0), [1.0 - e for e in run(d1)[::-1]]
+    n = max(1, math.ceil((tail[0] - head[-1]) * length / max_panel))
+    return head[:-1] + _linspace(head[-1], tail[0], n)[:-1] + tail
 
 
 def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple[np.ndarray, ...]:
     """The panel table of the pieces, which every contour rule maps its nodes onto.
 
-    A piece gets ``_n_panels * 2**level`` equal panels over its parameter
-    range: s in [0, 1] on a segment (z = a + b s), th in [th0, th1] on an arc
-    (z = a + b e^{i th}, b = R).  The edges are where ``np.linspace`` puts
-    them: lo + k (hi - lo) / n, the last at hi.  Returns arrays (a, b, arc,
-    mid, half) with one entry per panel; the panel is s = mid + half x, x in
-    [-1, 1], with the half-width of the piece's first panel.
+    The level-0 panels are graded toward the detoured poles on a segment
+    (``_segment_edges``, over s in [0, 1], z = a + b s) and 2 equal ones on
+    an arc (th in [th0, th1], z = a + b e^{i th}, b = R); level L bisects
+    each of them L times, at ``np.linspace`` edges.  Returns arrays (a, b,
+    arc, mid, half) with one entry per panel; the panel is s = mid + half x,
+    x in [-1, 1].
     """
-    n_pan = np.array([_n_panels(p, max_panel) for p in pieces]) * 2**level
-    lo, hi = np.array([(0.0, 1.0) if p[0] == "seg" else p[3:] for p in pieces]).T
-    first = np.cumsum(n_pan) - n_pan
-    idx = np.repeat(np.arange(len(pieces)), n_pan)
-    k = np.arange(idx.size) - first[idx]
-    step = ((hi - lo) / n_pan)[idx]
-    left = k * step + lo[idx]
-    right = np.where(k + 1 == n_pan[idx], hi[idx], (k + 1) * step + lo[idx])
-    mid = 0.5 * (left + right)
-    half = (0.5 * (right - left)[first])[idx]
+    edges = [_segment_edges(abs(p[2] - p[1]), p[3], p[4], max_panel) if p[0] == "seg"
+             else _linspace(p[3], p[4], 2) for p in pieces]
+    left = np.array([x for e in edges for x in e[:-1]])[:, None]
+    right = np.array([x for e in edges for x in e[1:]])
+    n = 2**level
+    sub = np.arange(n + 1) * ((right[:, None] - left) / n) + left
+    sub[:, -1] = right
+    lo, hi = sub[:, :-1].ravel(), sub[:, 1:].ravel()
+    idx = np.repeat(np.arange(len(pieces)), [n * (len(e) - 1) for e in edges])
     a = np.array([p[1] for p in pieces], dtype=complex)[idx]
     b = np.array([p[2] - p[1] if p[0] == "seg" else p[2] for p in pieces], dtype=complex)[idx]
     arc = np.array([p[0] == "arc" for p in pieces])[idx]
-    return a, b, arc, mid, half
+    return a, b, arc, 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def contour_nodes(
@@ -250,9 +282,9 @@ def integrate_contour(
     """Integrate ``f`` along the contour by locally adaptive Gauss-Kronrod panels.
 
     The base panels are the level-0 ``_base_panels``, those of ``contour_nodes``
-    at level 0: ``ceil(len / max_panel)`` per segment (``z0 + (z1 - z0) s``,
-    s in [0, 1]) and 2 per arc (``c + R e^{i th}``).  Each round evaluates ``f`` once on the 21 Kronrod
-    nodes of every active panel; a panel is kept when its 21- and 10-point
+    at level 0: graded toward the detoured poles on a segment (``z0 + (z1 -
+    z0) s``, s in [0, 1]) and 2 per arc (``c + R e^{i th}``).  Each round
+    evaluates ``f`` once on the 21 Kronrod nodes of every active panel; a panel is kept when its 21- and 10-point
     values differ by at most ``tol`` times its share of the contour's length
     (or by no more than the rounding of its sums, 50 eps sum |w f|), and is
     bisected in its parameter otherwise.  Every panel is kept once the

@@ -132,7 +132,7 @@ def _log_qpochhammer(a: np.ndarray, lq: complex, tol: float, poles=False) -> tup
     ln_theta, coef, bound = _euler_series(complex(lq), float(tol))
     M = np.maximum(np.ceil((a.real - ln_theta) / -lq.real), 0.0)
     m = np.arange(int(max(0.0, np.ceil((re_max - ln_theta) / -lq.real))))  # up to max(M)
-    chunk = max(16, int(2e6 / (m.size + coef.size)))
+    chunk = max(16, 2**16 // (m.size + coef.size))  # ~2^16 elements per (chunk, K) work array
     out = np.empty(a.shape, dtype=complex)
     for i0 in range(0, a.size, chunk):
         ac, Mc = a[i0:i0 + chunk], M[i0:i0 + chunk]

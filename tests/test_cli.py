@@ -101,6 +101,26 @@ def test_eval_takes_negative_complex_values(capsys, argv, fn, arg):
     assert code == 0 and err == "" and json.loads(out) == rec
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "gb", "--b", "0.8", "0.5"),
+    ("eval", "gb", "--b", "0.8", "--tol", "1e-10", "0.5"),
+    ("eval", "gb", "--b", "0.8", "--", "0.5"),
+])
+def test_eval_takes_options_before_the_values(capsys, argv):
+    assert main(list(argv)) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert main(["eval", "gb", "0.5", "--b", "0.8"]) == 0
+    assert json.loads(capsys.readouterr().out) == rec
+    assert run_cli(*argv) == (0, json.dumps(rec, sort_keys=True) + "\n", "")
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "infinity", "1+infi", "-infi"])
+def test_eval_infinite_value_is_a_domain_error(token):
+    # 'inf' keeps its i: it is read as infinity, as 'nan' is read as NaN
+    assert cli._complex_or_none(token) is not None
+    assert run_cli("eval", "gamma", token) == (2, "", f"domain error: non-finite value {token!r}\n")
+
+
 def test_usage_exit_code():
     code, _, _ = run_cli("bogus-subcommand")
     assert code == 64

@@ -198,17 +198,18 @@ def test_rounding_floor_is_reported_not_hidden():
 
 # (re, im) of fixed-node grid outputs as float.hex: contour_nodes keeps its
 # composite Gauss-Legendre panels whatever the adaptive rule does, so these
-# stay bit-identical (the first three and the last are the gamma family's,
-# its 1/(2 pi) in the weight's norm; the other four move only with G_b's rounding)
+# move only with the panel table or with G_b's rounding (the first three and
+# the last are the gamma family's, its 1/(2 pi) in the weight's norm; the
+# other four are the G_b family's)
 GRID_PINS = [
-    ("0x1.20414d881d2fcp-1", "0x1.88faf8486882dp-3"),
-    ("0x1.2a5792a05d38ep-1", "0x1.024fddfe1c98cp-1"),
-    ("0x1.3736afa242f20p-3", "0x1.ae1220bce4967p-4"),
-    ("0x1.eb3e02d423e28p-3", "0x1.31b38f9492664p-1"),
-    ("0x1.6a5a4d0e64a80p-1", "0x1.23670314627aep-4"),
-    ("0x1.75b730dc8ad4bp-4", "0x1.5444c66ce31ccp-2"),
-    ("0x1.aff4d5b82276bp-1", "0x1.3702337a56401p-4"),
-    ("0x1.768e9a3925fe0p-1", "-0x1.46237a1ead8c3p-1"),
+    ("0x1.20414d881d2fcp-1", "0x1.88faf84868818p-3"),
+    ("0x1.2a5792a05d38fp-1", "0x1.024fddfe1c989p-1"),
+    ("0x1.3736afa242f21p-3", "0x1.ae1220bce4963p-4"),
+    ("0x1.eb3e02d423e39p-3", "0x1.31b38f949265cp-1"),
+    ("0x1.6a5a4d0e64a7ep-1", "0x1.23670314627d0p-4"),
+    ("0x1.75b730dc8ad4cp-4", "0x1.5444c66ce31cap-2"),
+    ("0x1.aff4d5b822766p-1", "0x1.3702337a56406p-4"),
+    ("0x1.768e9a3925fe0p-1", "-0x1.46237a1ead8c5p-1"),
 ]
 
 
@@ -255,25 +256,46 @@ def test_panel_cache_matches_a_rebuild(monkeypatch):
     assert integrate_contour(f, cont, tol=1e-10) == res
 
 
+def _graded_run(dist, room, max_panel=0.5):
+    """Distances from a segment end to its graded edges: d (2^k - 1) for the
+    panels of width d 2^(k-1) < max_panel that end inside the room."""
+    run = [0.0]
+    while dist * 2 ** (len(run) - 1) < max_panel and dist * (2 ** len(run) - 1) < room:
+        run.append(dist * (2 ** len(run) - 1))
+    return run
+
+
 def _per_piece_rule(contour, level):
-    """12-point Gauss-Legendre panels built piece by piece: ceil(length / 0.5)
-    panels per segment and 2 per arc, times 2**level, at linspace edges."""
+    """12-point Gauss-Legendre panels built piece by piece.  A segment's end
+    within 0.5 of its detour's pole is graded by ``_graded_run`` (room: half
+    the segment when both ends are, else all of it, less a rounding margin),
+    and the span between the runs gets ceil(span / 0.5) equal panels; an arc
+    gets 2.  Each of these panels is cut into 2**level at linspace edges."""
     x, w = np.polynomial.legendre.leggauss(12)
     nodes, weights = [], []
     for p in contours._pieces(contour):
-        seg = p[0] == "seg"
-        n = (max(1, int(np.ceil(abs(p[2] - p[1]) / 0.5))) if seg else 2) * 2**level
-        e = np.linspace(0.0, 1.0, n + 1) if seg else np.linspace(p[3], p[4], n + 1)
-        half = 0.5 * (e[1] - e[0])
-        s = (0.5 * (e[:-1] + e[1:])[:, None] + half * x).ravel()
-        if seg:
-            z0, z1 = p[1], p[2]
-            nodes.append(z0 + (z1 - z0) * s)
-            weights.append((z1 - z0) * half * np.tile(w, n))
+        if p[0] == "seg":
+            z0, z1, d0, d1 = p[1:]
+            length = abs(z1 - z0)
+            room = (length / 2 if d0 < 0.5 and d1 < 0.5 else length) * (1 - 1e-9)
+            head = [e / length for e in _graded_run(d0, room)]
+            tail = [1.0 - e / length for e in _graded_run(d1, room)][::-1]
+            n = max(1, int(np.ceil((tail[0] - head[-1]) * length / 0.5)))
+            base = head[:-1] + list(np.linspace(head[-1], tail[0], n + 1)) + tail[1:]
         else:
-            c, R = p[1], p[2]
-            nodes.append(c + R * np.exp(1j * s))
-            weights.append(1j * R * np.exp(1j * s) * half * np.tile(w, n))
+            base = list(np.linspace(p[3], p[4], 3))
+        for lo, hi in zip(base, base[1:]):
+            e = np.linspace(lo, hi, 2**level + 1)
+            for left, right in zip(e, e[1:]):
+                half = 0.5 * (right - left)
+                s = 0.5 * (left + right) + half * x
+                if p[0] == "seg":
+                    nodes.append(z0 + (z1 - z0) * s)
+                    weights.append((z1 - z0) * half * w)
+                else:
+                    c, R = p[1], p[2]
+                    nodes.append(c + R * np.exp(1j * s))
+                    weights.append(1j * R * np.exp(1j * s) * half * w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -283,8 +305,10 @@ def _per_piece_rule(contour, level):
     Contour(0.1, (Detour(1.0 + 0.4j, "below", 0.2),), 4.0, slope=0.3),
 ], ids=["two-detours", "off-line-detours", "sloped"])
 def test_contour_nodes_match_a_per_piece_build(cont):
-    kinds = [p[0] for p in contours._pieces(cont)]
+    pieces = contours._pieces(cont)
+    kinds = [p[0] for p in pieces]
     assert "arc" in kinds and kinds.count("seg") > 1
+    assert any(min(p[3:]) < 0.5 for p in pieces if p[0] == "seg")  # a graded end
     for level in range(4):
         z, w = contour_nodes(cont, level=level)
         z_ref, w_ref = _per_piece_rule(cont, level)
@@ -293,3 +317,19 @@ def test_contour_nodes_match_a_per_piece_build(cont):
         z[:], w[:] = 0.0, 0.0  # the caller owns what contour_nodes returns
         z1, w1 = contour_nodes(cont, level=level)
         assert np.array_equal(z1, z0) and np.array_equal(w1, w0)
+
+
+@pytest.mark.parametrize("t", [0.7, 0.05, 1e-3])
+def test_graded_panels_keep_clear_of_the_pinching_poles(t):
+    from qplane import axb
+
+    cont = axb._GAMMA.contour(t)
+    a, b, arc, mid, half = contours._base_panels(contours._pieces(cont), 1.0)
+    lo, hi = (a + b * (mid - half))[~arc], (a + b * (mid + half))[~arc]
+    width = np.abs(hi - lo)
+    assert width.max() <= 1.0
+    radius = cont.detours[0].radius
+    assert abs(width.min() - radius) <= 1e-15  # the panels beside a detour are its radius wide
+    for d in cont.detours:  # on-line poles: the nearer panel end is the distance
+        dist = np.minimum(np.abs(lo - d.pole), np.abs(hi - d.pole))
+        assert np.all(dist >= 0.5 * width * (1 - 1e-12))

@@ -156,3 +156,16 @@ def test_kernel_estimate_is_the_factors_relative_estimates(p):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         qt.q_kernel("nope", (0.1, 0.2, 0.3), P08)
+
+
+@pytest.mark.parametrize("t", [0.05, 1e-3])
+def test_q_forward_grid_holds_at_small_t(t):
+    lams = np.array([-0.7, 0.4, 1.3])
+    l1, l2 = (qt.q_forward_grid(GAUSS, lams, t, P08, level=lv) for lv in (1, 2))
+    assert np.max(np.abs(l1 - l2)) <= 1e-10
+
+
+def test_gb_family_grid_node_count():
+    # grading adds no quantum work at the benchmark's usual t
+    kernel = qt._gb_kernel(P08, 1e-8)
+    assert contour_nodes(kernel.contour(0.5), 1, kernel.max_panel)[0].size == 1224
