@@ -24,13 +24,16 @@ interquartile range of the parent's runs.  Then each checkout runs
 ``--trace 1`` once per workload at TRACE_SEED for the work-count digest and
 every per-layer metric that ``BENCHMARK.json`` lists, and each suite in
 VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
-interpreter.  Last, each checkout counts the integrand nodes of one adaptive
-``axb.intertwiner_forward`` call at each t in NODE_TS (deterministic), and
-its lines per ``src/qplane`` module (``src_lines``), so the net-lines figure
-comes from the same file as the timings.  A full run takes about 45 minutes.
+interpreter, with the sha256 of each side's report and whether the two
+reports are byte-identical (``same_report``).  Last, each checkout counts
+the integrand nodes of one adaptive ``axb.intertwiner_forward`` call at each
+t in NODE_TS (deterministic), and its lines per ``src/qplane`` module
+(``src_lines``), so the net-lines figure comes from the same file as the
+timings.  A full run takes about 45 minutes.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -258,11 +261,21 @@ def traced(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def verify_wall(root: Path, suite: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "qplane.cli", "verify", suite, "--seed", "42",
-                               "--out", str(Path(tmp) / "report.json")], cwd=root,
+                               "--out", str(report)], cwd=root,
                               env={**os.environ, **ENV, "PYTHONPATH": str(root / "src")})
-        return {"wall_s": time.perf_counter() - t0, "exit": proc.returncode}
+        wall_s = time.perf_counter() - t0
+        sha = hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None
+        return {"wall_s": wall_s, "exit": proc.returncode, "report_sha256": sha}
+
+
+def verify_pair(roots: dict, suite: str) -> dict:
+    """verify_wall on each side, and whether the two reports are byte-identical."""
+    sides = {side: verify_wall(root, suite) for side, root in roots.items()}
+    parent, change = (sides[side]["report_sha256"] for side in ("parent", "change"))
+    return {**sides, "same_report": parent is not None and parent == change}
 
 
 def main(argv=None) -> int:
@@ -286,8 +299,7 @@ def main(argv=None) -> int:
         "per_layer": {"seed": TRACE_SEED, **{
             w: {side: traced(root, w, TRACE_SEED, TRACE_SECONDS) for side, root in roots.items()}
             for w in WORKLOADS}},
-        "verify": {suite: {side: verify_wall(root, suite) for side, root in roots.items()}
-                   for suite in VERIFY_SUITES},
+        "verify": {suite: verify_pair(roots, suite) for suite in VERIFY_SUITES},
         "forward_nodes": {"lam": 0.4, "tol": 1e-9,
                           **{side: forward_nodes(root) for side, root in roots.items()}},
         "src_lines": {side: src_lines(root) for side, root in roots.items()},

@@ -77,17 +77,6 @@ class ClassWFunction:
             )
         return complex(out[0]) if scalar else out
 
-    def __add__(self, other: "ClassWFunction") -> "ClassWFunction":
-        return ClassWFunction(self.terms + other.terms)
-
-    def scale(self, c: complex) -> "ClassWFunction":
-        return ClassWFunction(
-            tuple(
-                WTerm(t.a, t.b, tuple(c * np.asarray(t.poly, dtype=complex)))
-                for t in self.terms
-            )
-        )
-
     @staticmethod
     def gaussian(a: float = np.pi, b: complex = 0.0, poly: Sequence[complex] = (1.0,)):
         return ClassWFunction((WTerm(float(a), complex(b), tuple(complex(c) for c in poly)),))

@@ -234,6 +234,24 @@ def _cmd_verify(args) -> int:
 # table
 
 
+def _re_im(tok: str) -> tuple[float, float]:
+    x = parse_complex(tok)
+    return x.real, x.imag
+
+
+def _reals(tok: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in tok.split(","))
+
+
+# --kind -> (CSV header, a point's columns from its token, residual(*columns, r))
+_TABLES = {
+    "glim": (["x_re", "x_im", "r", "residual"], _re_im,
+             lambda re, im, r: qd.classical_limit_residual("Glim", complex(re, im), r)),
+    "kernel-limit": (["lam", "t1", "t2", "r", "residual"], _reals, qtransform.kernel_limit_residual),
+    "coaction-limit": (["x", "z", "r", "residual"], _reals, corep.coaction_limit_residual),
+}
+
+
 def _cmd_table(args) -> int:
     rs = [float(t) for t in args.r_schedule.split(",")] if args.r_schedule else []
     if any(b >= a for a, b in zip(rs, rs[1:])) or any(r <= 0 for r in rs):
@@ -241,26 +259,12 @@ def _cmd_table(args) -> int:
     points = [t for t in (args.points.split(";") if args.points else []) if t.strip()]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if args.kind == "glim":
-        writer.writerow(["x_re", "x_im", "r", "residual"])
-        for tok in points:
-            x = parse_complex(tok)
-            for r in rs:
-                writer.writerow([x.real, x.imag, r, qd.classical_limit_residual("Glim", x, r)])
-    elif args.kind == "kernel-limit":
-        writer.writerow(["lam", "t1", "t2", "r", "residual"])
-        for tok in points:
-            lam, t1, t2 = (float(v) for v in tok.split(","))
-            for r in rs:
-                writer.writerow([lam, t1, t2, r, qtransform.kernel_limit_residual(lam, t1, t2, r)])
-    elif args.kind == "coaction-limit":
-        writer.writerow(["x", "z", "r", "residual"])
-        for tok in points:
-            x, z = (float(v) for v in tok.split(","))
-            for r in rs:
-                writer.writerow([x, z, r, corep.coaction_limit_residual(x, z, r)])
-    else:
-        raise DomainError(f"unknown table kind {args.kind!r}")
+    header, parse, residual = _TABLES[args.kind]
+    writer.writerow(header)
+    for tok in points:
+        cols = parse(tok)
+        for r in rs:
+            writer.writerow([*cols, r, residual(*cols, r)])
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -356,14 +360,14 @@ def build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", nargs="?", default="all")
     pv.add_argument("--tol", type=_tol, default=None,
-                    help="override the per-check default tolerances")
+                    help="replace every check's tolerance")
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--json", action="store_true")
     pv.add_argument("--out")
     pv.set_defaults(fn=_cmd_verify)
 
     pt = sub.add_parser("table", help="limit-convergence tables as CSV")
-    pt.add_argument("--kind", required=True, choices=["glim", "kernel-limit", "coaction-limit"])
+    pt.add_argument("--kind", required=True, choices=list(_TABLES))
     pt.add_argument("--points", default="", help="semicolon-separated points")
     pt.add_argument("--r-schedule", default="", dest="r_schedule")
     pt.add_argument("--out")

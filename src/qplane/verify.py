@@ -34,12 +34,13 @@ def _rec(name: str, params: str, residual: float, tol: float) -> dict:
 
 def decreasing_with_floor(values, floor: float = 1e-9) -> bool:
     """Strict decrease, except that values below the floor count as converged."""
-    ok = True
-    for a, b in zip(values, values[1:]):
-        if b < floor and a < floor:
-            continue
-        ok = ok and (b < a)
-    return ok
+    return all(b < a or (a < floor and b < floor) for a, b in zip(values, values[1:]))
+
+
+def _ladder(name: str, params: str, residual_of_r, points, schedule) -> dict:
+    """The 0/1 flag at tol 0.5 for "residual_of_r(*point, r) decreases over schedule at every point"."""
+    ok = all(decreasing_with_floor([residual_of_r(*pt, r) for r in schedule]) for pt in points)
+    return _rec(name, params, 0.0 if ok else 1.0, 0.5)
 
 
 def _identity_grid(p: ModularParam) -> np.ndarray:
@@ -49,7 +50,7 @@ def _identity_grid(p: ModularParam) -> np.ndarray:
     return (re[:, None] + 1j * im[None, :]).ravel()
 
 
-def suite_gb_identities(tol: float = 1e-8, seed: int = 0) -> list[dict]:
+def suite_gb_identities(seed: int = 0) -> list[dict]:
     out = []
     params = [("b=0.7", from_b(0.7)), ("b=0.9", from_b(0.9)),
               ("b2=0.3+0.4i", from_b2(0.3 + 0.4j)), ("b2=0.1+0.5i", from_b2(0.1 + 0.5j))]
@@ -60,12 +61,12 @@ def suite_gb_identities(tol: float = 1e-8, seed: int = 0) -> list[dict]:
             kinds.append("selfduality")
         for kind in kinds:
             res = float(np.max(qd.verify_identity(kind, xs, p)))
-            out.append(_rec(f"identity/{kind}", label, res, tol))
+            out.append(_rec(f"identity/{kind}", label, res, 1e-8))
     # unimodularity on the symmetric line
     p = from_b(0.8)
     ts = np.linspace(-2.0, 2.0, 9)
     vals = qd.gb_many(p.Q / 2 + 1j * ts, p)
-    out.append(_rec("unimodularity |G_b(Q/2+it)|", "b=0.8", float(np.max(np.abs(np.abs(vals) - 1))), tol))
+    out.append(_rec("unimodularity |G_b(Q/2+it)|", "b=0.8", float(np.max(np.abs(np.abs(vals) - 1))), 1e-8))
     # asymptotics at Im x = +/- 8
     for label, p in [("b=0.8", from_b(0.8)), ("b2=0.3+0.4i", from_b2(0.3 + 0.4j))]:
         x_up = p.Q / 2 + 8j
@@ -102,45 +103,45 @@ def suite_gb_identities(tol: float = 1e-8, seed: int = 0) -> list[dict]:
     # variants: S_b reflection at midpoint, V_eta unimodularity + integral route
     p = from_b(0.8)
     sb_mid = qd.sb(p.Q / 2, p).value
-    out.append(_rec("S_b(Q/2)^2 = 1", "b=0.8", abs(sb_mid**2 - 1), tol))
+    out.append(_rec("S_b(Q/2)^2 = 1", "b=0.8", abs(sb_mid**2 - 1), 1e-8))
     v = qd.veta(0.4, p).value
-    out.append(_rec("V_eta unimodular (V conj(V) = 1)", "b=0.8, z=0.4", abs(v * np.conj(v) - 1), tol))
+    out.append(_rec("V_eta unimodular (V conj(V) = 1)", "b=0.8, z=0.4", abs(v * np.conj(v) - 1), 1e-8))
     out.append(_rec("V_eta integral route", "b=0.8, z=0.4",
                     abs(qd.veta_integral(0.4, p) - v) / abs(v), 1e-7))
     gsm = qd.gb_small(1.0, p).value
     out.append(_rec("g_b(1) = zeta_bar/G_b(Q/2)", "b=0.8",
-                    abs(gsm - p.zeta_b_bar / qd.gb(p.Q / 2, p).value), tol))
+                    abs(gsm - p.zeta_b_bar / qd.gb(p.Q / 2, p).value), 1e-8))
     return out
 
 
-def suite_tau_beta(tol: float = 1e-6, seed: int = 0) -> list[dict]:
+def suite_tau_beta(seed: int = 0) -> list[dict]:
     out = []
     p8 = from_b(0.8)
     Q = p8.Q.real
-    out.append(_rec("tau-beta", "b=0.8, (Q/4,Q/4)", qd.tau_beta_residual(Q / 4, Q / 4, p8), tol))
-    out.append(_rec("tau-beta", "b=0.8, (Q/3,Q/6)", qd.tau_beta_residual(Q / 3, Q / 6, p8), tol))
+    out.append(_rec("tau-beta", "b=0.8, (Q/4,Q/4)", qd.tau_beta_residual(Q / 4, Q / 4, p8), 1e-6))
+    out.append(_rec("tau-beta", "b=0.8, (Q/3,Q/6)", qd.tau_beta_residual(Q / 3, Q / 6, p8), 1e-6))
     pc = from_b2(0.1 + 0.4j)
     Qc = pc.Q
     out.append(_rec("tau-beta", "b2=0.1+0.4i, (Q/4+0.1i,Q/4)",
-                    qd.tau_beta_residual(Qc / 4 + 0.1j, Qc / 4, pc), tol))
+                    qd.tau_beta_residual(Qc / 4 + 0.1j, Qc / 4, pc), 1e-6))
     return out
 
 
-def suite_fourier_gb(tol: float = 1e-6, seed: int = 0) -> list[dict]:
+def suite_fourier_gb(seed: int = 0) -> list[dict]:
     out = []
     p8 = from_b(0.8)
     for which in (1, 2, 3, 4):
         for r in (-0.2, 0.0, 0.3):
             out.append(_rec(f"fourier-formula-{which}", f"b=0.8, r={r}",
-                            qd.fourier_gb_residual(which, r, p8), tol))
+                            qd.fourier_gb_residual(which, r, p8), 1e-6))
     out.append(_rec("fourier-formula-3", "b=0.75, r=-0.2",
-                    qd.fourier_gb_residual(3, -0.2, from_b(0.75)), tol))
+                    qd.fourier_gb_residual(3, -0.2, from_b(0.75)), 1e-6))
     return out
 
 
-def suite_q_binomial(tol: float = 1e-8, seed: int = 0) -> list[dict]:
+def suite_q_binomial(seed: int = 0) -> list[dict]:
     p8 = from_b(0.8)
-    return [_rec(f"q-binomial n={n}", "b=0.8", qd.qbinom_residue_check(n, p8), tol)
+    return [_rec(f"q-binomial n={n}", "b=0.8", qd.qbinom_residue_check(n, p8), 1e-8)
             for n in range(1, 6)]
 
 
@@ -152,7 +153,7 @@ def _log_gauss(x):
     return np.exp(-np.log(x) ** 2)
 
 
-def suite_classical_rep(tol: float = 1e-6, seed: int = 0) -> list[dict]:
+def suite_classical_rep(seed: int = 0) -> list[dict]:
     out = []
     # gamma identities
     zs = (np.linspace(-3.3, 3.7, 8)[:, None] + 1j * np.linspace(-4, 4, 5)[None, :]).ravel()
@@ -224,7 +225,13 @@ def suite_classical_rep(tol: float = 1e-6, seed: int = 0) -> list[dict]:
     out.append(_rec("kernel modulus symmetry", "lam->-lam, t1<->t2",
                     abs(abs(k_f) ** 2 - abs(k_s) ** 2) / abs(k_f) ** 2, 1e-12))
     # intertwiner round trip, norm preservation, equivariance
-    out.extend(classical_intertwiner_checks())
+    fw = lambda t1, t2: np.exp(-t1**2 - t2**2)
+    out.append(_roundtrip_rec("intertwiner round trip",
+                              lambda t1, t2: axb.intertwiner_roundtrip(fw, t1, t2), fw))
+    out.append(_norm_box_rec("intertwiner norm preservation", axb.intertwiner_forward_grid, fw, 5.0))
+    # equivariance: transform (R+ x R+)(g) = (1 x R+)(g) transform
+    out.append(_rec("intertwiner equivariance", "g=(1.3,0.4)",
+                    _equivariance_residual(axb.GroupElement(1.3, 0.4)), 1e-3))
     return out
 
 
@@ -246,36 +253,24 @@ def _decompose_norm_residual(case: str) -> float:
     return abs(lhs - rhs) / abs(lhs)
 
 
-def classical_intertwiner_checks(tol: float = 1e-3) -> list[dict]:
-    fw = lambda t1, t2: np.exp(-t1**2 - t2**2)
-    return [
-        _roundtrip_rec("intertwiner round trip",
-                       lambda t1, t2: axb.intertwiner_roundtrip(fw, t1, t2), fw, tol),
-        _norm_box_rec("intertwiner norm preservation", axb.intertwiner_forward_grid, fw, 5.0, tol),
-        # equivariance: transform (R+ x R+)(g) = (1 x R+)(g) transform
-        _rec("intertwiner equivariance", "g=(1.3,0.4)",
-             _equivariance_residual(axb.GroupElement(1.3, 0.4)), tol),
-    ]
-
-
-def _roundtrip_rec(name: str, roundtrip, f, tol: float) -> dict:
-    """Worst |roundtrip(t1, t2) - f(t1, t2)| over the 9-point grid."""
+def _roundtrip_rec(name: str, roundtrip, f) -> dict:
+    """Worst |roundtrip(t1, t2) - f(t1, t2)| over the 9-point grid (tol 1e-3)."""
     worst = 0.0
     for t1 in (0.3, 0.6, 0.9):
         for t2 in (0.4, 0.7, 1.0):
             worst = max(worst, abs(roundtrip(t1, t2) - f(t1, t2)))
-    return _rec(name, "9-point grid", worst, tol)
+    return _rec(name, "9-point grid", worst, 1e-3)
 
 
-def _norm_box_rec(name: str, grid, f, L: float, tol: float) -> dict:
-    """Relative L^2-norm change of f under ``grid(f, lams, t)`` on the GL48 box [-L, L]^2."""
+def _norm_box_rec(name: str, grid, f, L: float) -> dict:
+    """Relative L^2-norm change of f under ``grid(f, lams, t)`` on the GL48 box [-L, L]^2 (tol 1e-3)."""
     gl = np.polynomial.legendre.leggauss(48)
     nodes, wts = L * gl[0], L * gl[1]
     ww = np.outer(wts, wts)
     norm_f = np.sum(np.abs(f(nodes[:, None], nodes[None, :])) ** 2 * ww)
     rows = np.array([grid(f, nodes, t) for t in nodes])
     norm_F = np.sum(np.abs(rows.T) ** 2 * ww)
-    return _rec(name, f"box L={L:g}", abs(norm_F - norm_f) / norm_f, tol)
+    return _rec(name, f"box L={L:g}", abs(norm_F - norm_f) / norm_f, 1e-3)
 
 
 def _equivariance_residual(g: axb.GroupElement) -> float:
@@ -316,7 +311,7 @@ def _equivariance_residual(g: axb.GroupElement) -> float:
 # quantum intertwiner suite
 
 
-def suite_q_intertwiner(tol: float = 1e-3, seed: int = 0) -> list[dict]:
+def suite_q_intertwiner(seed: int = 0) -> list[dict]:
     out = []
     p8 = from_b(0.8)
     # kernel conjugation (1e-10 per acceptance)
@@ -345,16 +340,13 @@ def suite_q_intertwiner(tol: float = 1e-3, seed: int = 0) -> list[dict]:
     big = qtransform.apply_q_forward(f1, 8.0, 0.5, p8)
     out.append(_rec("decay at |lam| = 8", "Gaussian input", abs(big), 1e-6))
     out.append(_roundtrip_rec("quantum round trip",
-                              lambda t1, t2: qtransform.q_roundtrip(f1, t1, t2, p8), f1, tol))
+                              lambda t1, t2: qtransform.q_roundtrip(f1, t1, t2, p8), f1))
     out.append(_norm_box_rec("quantum norm preservation",
-                             lambda f, lams, t: qtransform.q_forward_grid(f, lams, t, p8), f1, 4.5, tol))
+                             lambda f, lams, t: qtransform.q_forward_grid(f, lams, t, p8), f1, 4.5))
     # kernel classical limit: strictly decreasing on the 3x3x3 grid, small at r=1e-3
     grid = [(l, a, b) for l in (0.3, 0.5, 0.7) for a in (0.8, 1.0, 1.2) for b in (1.3, 1.5, 1.7)]
-    ok = True
-    for (l, a, b) in grid:
-        vals = [qtransform.kernel_limit_residual(l, a, b, r) for r in (0.1, 0.05, 0.025)]
-        ok = ok and decreasing_with_floor(vals)
-    out.append(_rec("kernel limit decreasing (floor)", "3x3x3 grid", 0.0 if ok else 1.0, 0.5))
+    out.append(_ladder("kernel limit decreasing (floor)", "3x3x3 grid", qtransform.kernel_limit_residual,
+                       grid, (0.1, 0.05, 0.025)))
     res_small = qtransform.kernel_limit_residual(0.5, 1.0, 1.5, 1e-3)
     out.append(_rec("kernel limit at r=1e-3", "(0.5,1,1.5)", res_small, 1e-2))
     ceil_vals = [qtransform.kernel_limit_residual(0.5, 1.0, 1.5, r, variant="ceil")
@@ -368,7 +360,7 @@ def suite_q_intertwiner(tol: float = 1e-3, seed: int = 0) -> list[dict]:
 # corepresentation suite
 
 
-def suite_corep(tol: float = 1e-8, seed: int = 42) -> list[dict]:
+def suite_corep(seed: int = 42) -> list[dict]:
     out = []
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -381,7 +373,7 @@ def suite_corep(tol: float = 1e-8, seed: int = 42) -> list[dict]:
                 continue
             worst = max(worst, corep.corep_axiom_residual(x, w, z, p))
             n_done += 1
-    out.append(_rec("corepresentation axiom", "20 random triples, b in {0.7,0.8}", worst, tol))
+    out.append(_rec("corepresentation axiom", "20 random triples, b in {0.7,0.8}", worst, 1e-8))
     # pairing reproduces the dual-generator action
     p8 = from_b(0.8)
     corpus = [ClassWFunction.gaussian(),
@@ -410,15 +402,13 @@ def suite_corep(tol: float = 1e-8, seed: int = 42) -> list[dict]:
     out.append(_rec("coaction monomial exponents", "(0.3,0.9)",
                     abs(mono.a_exp - 0.3) + abs(mono.b_exp - 0.6), 1e-12))
     # classical limit of the coaction (V and V*)
-    for (x, z) in [(0.3, 0.9), (0.0, 0.5), (-0.2, 0.4)]:
-        vals = [corep.coaction_limit_residual(x, z, r) for r in (0.1, 0.05, 0.025)]
-        ok = decreasing_with_floor(vals)
-        out.append(_rec("coaction limit decreasing", f"(x,z)=({x},{z})", 0.0 if ok else 1.0, 0.5))
+    out.extend(_ladder("coaction limit decreasing", f"(x,z)=({x},{z})", corep.coaction_limit_residual,
+                       [(x, z)], (0.1, 0.05, 0.025)) for (x, z) in [(0.3, 0.9), (0.0, 0.5), (-0.2, 0.4)])
     out.append(_rec("coaction limit at r=1e-3", "(0,0.5)",
                     corep.coaction_limit_residual(0.0, 0.5, 1e-3), 1e-2))
-    vstar = [corep.coaction_limit_residual(0.3, 0.9, r, variant="Vstar") for r in (0.1, 0.05, 0.025)]
-    out.append(_rec("V* limit decreasing toward R-", "(0.3,0.9)",
-                    0.0 if decreasing_with_floor(vstar) else 1.0, 0.5))
+    out.append(_ladder("V* limit decreasing toward R-", "(0.3,0.9)",
+                       lambda x, z, r: corep.coaction_limit_residual(x, z, r, variant="Vstar"),
+                       [(0.3, 0.9)], (0.1, 0.05, 0.025)))
     return out
 
 
@@ -426,21 +416,17 @@ def suite_corep(tol: float = 1e-8, seed: int = 42) -> list[dict]:
 # classical limit suite
 
 
-def suite_limits(tol: float = 1e-2, seed: int = 0) -> list[dict]:
+def suite_limits(seed: int = 0) -> list[dict]:
     out = []
     schedule = (0.1, 0.05, 0.025, 0.0125)
     xs = (0.5, 1.0, 1.5, 1 + 0.3j)
-    for x in xs:
-        vals = [qd.classical_limit_residual("Glim", x, r) for r in schedule]
-        ok = decreasing_with_floor(vals)
-        out.append(_rec("Glim decreasing", f"x={x}", 0.0 if ok else 1.0, 0.5))
+    out.extend(_ladder("Glim decreasing", f"x={x}",
+                       lambda x, r: qd.classical_limit_residual("Glim", x, r), [(x,)], schedule) for x in xs)
     for x in xs:
         out.append(_rec("Glim at r=1e-3", f"x={x}",
                         qd.classical_limit_residual("Glim", x, 1e-3), 1e-2))
-    for x in xs:
-        vals = [qd.classical_limit_residual("GlimQ", x, r) for r in schedule]
-        ok = decreasing_with_floor(vals)
-        out.append(_rec("GlimQ decreasing", f"x={x}", 0.0 if ok else 1.0, 0.5))
+    out.extend(_ladder("GlimQ decreasing", f"x={x}",
+                       lambda x, r: qd.classical_limit_residual("GlimQ", x, r), [(x,)], schedule) for x in xs)
     # fixture tolerance 2e-2 absolute at r=1e-3 (target modulus ~2.7 at x=1.5)
     for x in xs:
         out.append(_rec("GlimQ at r=1e-3", f"x={x}",
@@ -478,17 +464,13 @@ SUITES = tuple(_SUITE_FN)  # in report order
 
 
 def run_suite(name: str, tol: float | None = None, seed: int = 42) -> list[dict]:
-    """Run one named suite (or 'all'); tol overrides each check's default only
-    when given.  An unknown name raises DomainError."""
+    """Run one named suite (or 'all').  A given tol replaces every record's own
+    default tol, and its pass is then residual < tol.  An unknown name raises DomainError."""
     if name != "all" and name not in _SUITE_FN:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITES + ('all',))}")
     records = []
     for n in SUITES if name == "all" else (name,):
-        kwargs = {"seed": seed}
-        if tol is not None:
-            kwargs["tol"] = tol
-        recs = _SUITE_FN[n](**kwargs)
-        for r in recs:
-            r["suite"] = n
-        records.extend(recs)
+        for r in _SUITE_FN[n](seed=seed):
+            r = r if tol is None else _rec(r["name"], r["params"], r["residual"], tol)
+            records.append({**r, "suite": n})
     return records

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qplane.qdilog as qd
-from qplane import cli
+from qplane import cli, corep, qtransform
 from qplane.cli import main, parse_complex
 from qplane.errors import DomainError
 from qplane.modular import from_b
@@ -179,11 +179,14 @@ def test_verify_determinism(tmp_path):
     assert rep["pass"] is True and rep["n_pass"] == rep["n_total"]
 
 
-def test_verify_forced_failure_exit():
-    code, out, _ = run_cli("verify", "q-binomial", "--tol", "1e-30")
+@pytest.mark.parametrize("suite", ["q-binomial", "limits"])
+def test_verify_forced_failure_exit(suite):
+    # --tol replaces every check's tolerance, the limit checks' included
+    code, out, _ = run_cli("verify", suite, "--tol", "1e-30")
     assert code == 1
     rep = json.loads(out)
     assert rep["pass"] is False
+    assert all(c["tol"] == 1e-30 for c in rep["checks"])
 
 
 def test_verify_unknown_suite():
@@ -202,6 +205,22 @@ def test_table_glim(tmp_path):
     # residuals strictly decreasing within each x group
     res = [float(r.split(",")[3]) for r in rows[1:]]
     assert res[0] > res[1] > res[2] and res[3] > res[4] > res[5]
+
+
+@pytest.mark.parametrize("kind, points, header, residual", [
+    ("kernel-limit", "0.5,1.0,1.5;0.3,0.8,1.3", "lam,t1,t2,r,residual", qtransform.kernel_limit_residual),
+    ("coaction-limit", "0.3,0.9;0,0.5", "x,z,r,residual", corep.coaction_limit_residual),
+])
+def test_table_limit_kinds(tmp_path, kind, points, header, residual):
+    out_csv = tmp_path / "table.csv"
+    code, _, _ = run_cli("table", "--kind", kind, "--points", points,
+                         "--r-schedule", "0.1,0.05", "--out", str(out_csv))
+    assert code == 0
+    rows = out_csv.read_text().strip().splitlines()
+    assert rows[0] == header
+    assert len(rows) == 5
+    *point, r, res = (float(v) for v in rows[3].split(","))  # second point, r = 0.1
+    assert r == 0.1 and res == residual(*point, r)
 
 
 def test_table_empty_grid():
