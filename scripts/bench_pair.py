@@ -9,27 +9,33 @@ the median in-process ``cli.main`` time over seeded ``eval gb`` argvs of the
 kinds of perfbench's gb-eval CLI strata (real b, generic b^2, b^2 = i r), the
 best of EVAL_ROUNDS alternating fresh processes per side, and the best of
 FRESH_RUNS alternating runs of ``python -m qplane.cli`` FRESH_ARGV in a fresh
-interpreter, all with one BLAS thread.  Then a size sweep times ``gb_many`` at
-SWEEP_SIZES points in both regimes, with one BLAS thread and with the
-library's default threading: each round runs the parent and the change as
-fresh subprocesses in alternating order, and the best of SWEEP_ROUNDS rounds
-is kept per side.  Then, for every workload and seed (SEEDS, then
-perfbench's held-out seed), the two runs of SECONDS go back to back, the
-parent first on even-indexed seeds and the change first on odd ones, so a
-drift of the machine's speed hits both sides alike.  The file records every
+interpreter, all with one BLAS thread.  Then the latency of the classical
+forward op: the median in-process ``axb.intertwiner_forward`` time over
+FORWARD_OPS seeded ops drawn as perfbench's classical ``forward`` stratum
+draws them, the best of FORWARD_ROUNDS alternating fresh processes per side.
+Then a size sweep times ``gb_many`` at SWEEP_SIZES points in both regimes,
+with one BLAS thread and with the library's default threading: each round
+runs the parent and the change as fresh subprocesses in alternating order,
+and the best of SWEEP_ROUNDS rounds is kept per side.  Then, for every
+workload and seed (SEEDS, then perfbench's held-out seed), the two runs of
+SECONDS go back to back, the parent first on even-indexed seeds and the
+change first on odd ones, so a drift of the machine's speed hits both sides
+alike.  The file records every
 run's end-to-end metrics and probe failure counts (ops past the library's
 declared domain, not gated), the metrics' medians, the change/parent ratio
 of the medians, the number of pairs in which the change reads lower and the
 interquartile range of the parent's runs.  Then each checkout runs
-``--trace 1`` once per workload at TRACE_SEED for the work-count digest and
-every per-layer metric that ``BENCHMARK.json`` lists, and each suite in
+``--trace 1`` TRACE_RUNS times per workload at TRACE_SEED, the sides
+alternating, for every per-layer metric that ``BENCHMARK.json`` lists: its
+counts from the first run, its times and rates the median over the runs,
+with each run's work-count digest and whether they agree.  Each suite in
 VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
 interpreter, with the sha256 of each side's report and whether the two
 reports are byte-identical (``same_report``).  Last, each checkout counts
 the integrand nodes of one adaptive ``axb.intertwiner_forward`` call at each
 t in NODE_TS (deterministic), and its lines per ``src/qplane`` module
 (``src_lines``), so the net-lines figure comes from the same file as the
-timings.  A full run takes about 45 minutes.
+timings.  A full run takes about 50 minutes.
 """
 
 import argparse
@@ -47,9 +53,9 @@ from pathlib import Path
 WORKLOADS = ("gb-eval", "classical", "quantum")
 SEEDS, SECONDS = tuple(range(201, 211)), 35.0
 HELD_OUT_SEED = 4145  # perfbench/run.py HELD_OUT_SEED
-TRACE_SEED, TRACE_SECONDS = 101, 10.0
-LAYERS = tuple(m["name"] for m in json.loads(
-    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"])
+TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 101, 10.0, 3
+LAYERS = {m["name"]: m["unit"] for m in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"]}
 VERIFY_SUITES = ("limits", "classical-rep", "all")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SWEEP_SIZES, SWEEP_ROUNDS = (1, 4, 32, 128, 1152), 7
@@ -125,6 +131,31 @@ out = {kind: statistics.median(t) for kind, t in times.items()}
 out["all"] = statistics.median([t for ts in times.values() for t in ts])
 print(json.dumps(out))
 """
+# One child of the forward latency: the median seconds of an in-process
+# axb.intertwiner_forward call over FORWARD_OPS seeded ops, drawn as perfbench's
+# classical forward stratum draws them (separable Gaussian class-W data).
+FORWARD_ROUNDS, FORWARD_OPS = 7, 300
+FORWARD_CHILD = """
+import json, statistics, sys, time
+import numpy as np
+from qplane import axb
+from qplane.classw import ClassWFunction
+rng = np.random.default_rng(11)
+ops = []
+for _ in range(int(sys.argv[1])):
+    a1, a2 = rng.uniform(0.8, 1.5, 2)
+    c1, c2 = rng.uniform(-0.3, 0.3, 2)
+    g1, g2 = ClassWFunction.gaussian(a=a1, b=c1), ClassWFunction.gaussian(a=a2, b=c2)
+    ops.append((lambda u, v, g1=g1, g2=g2: g1(u) * g2(v),
+                float(rng.uniform(-0.4, 0.5)), float(rng.uniform(0.2, 1.2))))
+axb.intertwiner_forward(*ops[0])  # warm-up
+times = []
+for f, lam, t in ops:
+    t0 = time.perf_counter()
+    axb.intertwiner_forward(f, lam, t)
+    times.append(time.perf_counter() - t0)
+print(json.dumps(statistics.median(times)))
+"""
 # One child of the node count: integrand nodes per adaptive intertwiner_forward call,
 # counted through the integrand that axb hands to integrate_contour.
 NODE_TS = (0.2, 0.3, 0.5, 1.0)
@@ -191,6 +222,21 @@ def eval_latency(roots: dict) -> dict:
     return result
 
 
+def forward_latency(roots: dict) -> dict:
+    """Best-of-FORWARD_ROUNDS median seconds of an in-process intertwiner_forward call, per side."""
+    best = {side: float("inf") for side in roots}
+    for i in range(FORWARD_ROUNDS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            proc = subprocess.run([sys.executable, "-c", FORWARD_CHILD, str(FORWARD_OPS)],
+                                  env={**os.environ, **ENV, "PYTHONPATH": str(roots[side] / "src")},
+                                  capture_output=True, text=True, check=True)
+            best[side] = min(best[side], json.loads(proc.stdout))
+    result = {"unit": "s per intertwiner_forward call, median", "rounds": FORWARD_ROUNDS,
+              "ops": FORWARD_OPS, **best, "ratio": best["change"] / best["parent"]}
+    print(f"forward latency: {result}", flush=True)
+    return result
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                            str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -252,11 +298,25 @@ def pairs(roots: dict, workload: str, seeds, seconds: float) -> dict:
     return {"median": summary, "runs": runs}
 
 
-def traced(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    out, text = perfbench(root, workload, seed, seconds, 1)
-    digest = re.search(r"work counts digest (\w+)", text).group(1)
-    return {"digest": digest, "failed": out["failed"],
-            **{k: out["metrics"][k]["value"] for k in LAYERS if k in out["metrics"]}}
+def traced(roots: dict, workload: str) -> dict:
+    """TRACE_RUNS alternating ``--trace 1`` runs per side: counts from the
+    first run, times and rates the median over the runs that report them."""
+    runs = {side: [] for side in roots}
+    for i in range(TRACE_RUNS):
+        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+            out, text = perfbench(roots[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
+            runs[side].append({"digest": re.search(r"work counts digest (\w+)", text).group(1),
+                               "failed": out["failed"], "metrics": out["metrics"]})
+    result = {}
+    for side, rs in runs.items():
+        digests = [r["digest"] for r in rs]
+        result[side] = {"digests": digests, "digests_agree": len(set(digests)) == 1,
+                        "failed": [r["failed"] for r in rs]}
+        for k, unit in LAYERS.items():
+            vals = [r["metrics"][k]["value"] for r in rs if k in r["metrics"]]
+            if vals:
+                result[side][k] = vals[0] if unit == "count" else statistics.median(vals)
+    return result
 
 
 def verify_wall(root: Path, suite: str) -> dict:
@@ -292,13 +352,12 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(), "seconds": SECONDS, "seeds": SEEDS,
         "order": "per seed back to back, parent first on even-indexed seeds",
         "eval_latency": eval_latency(roots),
+        "forward_latency": forward_latency(roots),
         "size_sweep": {"sizes": SWEEP_SIZES, "rounds": SWEEP_ROUNDS, "unit": "s per gb_many call",
                        **size_sweep(roots)},
         "end_to_end": {w: pairs(roots, w, SEEDS, SECONDS) for w in WORKLOADS},
         "held_out": {w: pairs(roots, w, [HELD_OUT_SEED], SECONDS) for w in WORKLOADS},
-        "per_layer": {"seed": TRACE_SEED, **{
-            w: {side: traced(root, w, TRACE_SEED, TRACE_SECONDS) for side, root in roots.items()}
-            for w in WORKLOADS}},
+        "per_layer": {"seed": TRACE_SEED, "runs": TRACE_RUNS, **{w: traced(roots, w) for w in WORKLOADS}},
         "verify": {suite: verify_pair(roots, suite) for suite in VERIFY_SUITES},
         "forward_nodes": {"lam": 0.4, "tol": 1e-9,
                           **{side: forward_nodes(root) for side, root in roots.items()}},

@@ -292,7 +292,14 @@ def _roundtrip(kernel: _Kernel, f: TwoVarFn, t1, t2) -> complex:
     return _inverse(kernel, lambda lam, t: _forward(kernel, f, lam, t, level=1), t1, t2, level=1)
 
 
-_GAMMA = _Kernel(lambda x, y: gamma(1j * x) * gamma(-1j * y),
+def _gamma_pair(x, y):
+    """Gamma(i x) Gamma(-i y), both factors from one gamma sweep over [i x, -i y]."""
+    x = np.asarray(x)
+    g = gamma(np.concatenate([1j * x.ravel(), -1j * np.ravel(y)]))
+    return (g[:x.size] * g[x.size:]).reshape(x.shape)
+
+
+_GAMMA = _Kernel(_gamma_pair,
                  lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
                  lambda s: _separating_contour(s, _TRUNCATION), 1.0)
 

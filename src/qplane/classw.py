@@ -70,11 +70,18 @@ class ClassWFunction:
         zz = np.asarray(z, dtype=complex)
         scalar = zz.ndim == 0
         zz = np.atleast_1d(zz)
-        out = np.zeros_like(zz)
+        out = None
         for t in self.terms:
-            out += np.exp(-t.a * zz**2 + t.b * zz) * _poly_eval(
-                np.asarray(t.poly, dtype=complex), zz
-            )
+            poly = np.asarray(t.poly, dtype=complex)
+            # Horner gives a constant P as 0 z + c = c at every point: multiply by c
+            values = poly[0] if poly.size == 1 else _poly_eval(poly, zz)
+            term = np.exp(-t.a * zz**2 + t.b * zz) * values
+            if out is None:
+                out = term
+            else:
+                out += term
+        if out is None:  # no terms: the zero function
+            out = np.zeros_like(zz)
         return complex(out[0]) if scalar else out
 
     @staticmethod

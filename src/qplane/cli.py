@@ -33,7 +33,8 @@ DOMAIN_EXIT = 2
 
 
 class _UsageError(Exception):
-    """A well-formed command line with the wrong number of values."""
+    """A well-formed command line with the wrong number of values, or a
+    table point or r-schedule that is not a list of numbers."""
 
 
 class _Exit(Exception):
@@ -240,7 +241,10 @@ def _re_im(tok: str) -> tuple[float, float]:
 
 
 def _reals(tok: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in tok.split(","))
+    try:
+        return tuple(float(v) for v in tok.split(","))
+    except ValueError:
+        raise _UsageError(f"expected comma-separated numbers, got {tok!r}") from None
 
 
 # --kind -> (CSV header, a point's columns from its token, residual(*columns, r))
@@ -253,16 +257,17 @@ _TABLES = {
 
 
 def _cmd_table(args) -> int:
-    rs = [float(t) for t in args.r_schedule.split(",")] if args.r_schedule else []
+    rs = _reals(args.r_schedule) if args.r_schedule else ()
     if any(b >= a for a, b in zip(rs, rs[1:])) or any(r <= 0 for r in rs):
         raise DomainError("r-schedule must be strictly decreasing and positive")
-    points = [t for t in (args.points.split(";") if args.points else []) if t.strip()]
+    header, parse, residual = _TABLES[args.kind]
+    points = [parse(t) for t in (args.points.split(";") if args.points else []) if t.strip()]
+    if bad := [cols for cols in points if len(cols) != len(header) - 2]:
+        raise _UsageError(f"a {args.kind} point takes {len(header) - 2} values, got {len(bad[0])}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header, parse, residual = _TABLES[args.kind]
     writer.writerow(header)
-    for tok in points:
-        cols = parse(tok)
+    for cols in points:
         for r in rs:
             writer.writerow([*cols, r, residual(*cols, r)])
     text = buf.getvalue()

@@ -1,11 +1,16 @@
 """Complex gamma function and the classical contour-integral identities.
 
-The gamma implementation is a 15-term Lanczos approximation (g = 607/128)
-on Re z >= 1/2 plus the reflection formula elsewhere, accurate to ~2e-14
-relative on the desk-scale box |z| <= 20 and ~1e-13 for |Im z| up to 120.
-The Lanczos sum's 14 partial fractions are summed in one broadcast call,
-in complex arithmetic on small batches and in real arithmetic (no complex
-division) on large ones, and the prefactor is a single exp.  These are the
+The gamma implementation is a 15-term Lanczos approximation (g = 607/128),
+accurate to ~2e-14 relative on the desk-scale box |z| <= 20 and ~1e-13 for
+|Im z| up to 120.  It covers the plane in three regions: the Lanczos core on
+Re z >= 1/2; the recurrence Gamma(z) = Gamma(z + 1)/z on the central strip
+-1/2 <= Re z < 1/2, where the classical kernels' gamma(+-i x) lie (no
+complex sin); and the reflection formula on Re z < -1/2.  The Lanczos
+sum's 14 partial fractions are summed by broadcasting, in complex
+arithmetic on small batches and in real arithmetic (no complex division)
+on large ones; on large batches log t is also formed in real arithmetic
+as log|t| + i arg t, and the prefactor is a single exp.  A kernel pair
+K(i x) K(-i y) is one gamma sweep over both arguments.  These are the
 classical targets that the quantum-dilogarithm limits are checked against:
 the gamma-beta integral, the Mellin-Barnes binomial formula, and the Gauss
 hypergeometric function evaluated by contour integral.
@@ -42,25 +47,29 @@ _LANCZOS_C = np.array([
 
 
 _LANCZOS_K = np.arange(1.0, _LANCZOS_C.size)
-_SMALL_BATCH = 256  # complex partial fractions up to here, real arithmetic beyond
+_SMALL_BATCH = 256  # complex arithmetic up to here, real arithmetic beyond
+_CHUNK = 2**15 // _LANCZOS_K.size  # points per (14, n) work array of the real form
 
 
 def _lanczos_sum(x: np.ndarray) -> np.ndarray:
-    """c_0 + sum_k c_k/(x + k) over a 1-D array x, as one broadcast (14, n) call.
+    """c_0 + sum_k c_k/(x + k) over a 1-D array x, as broadcast (14, n) calls.
 
     Beyond _SMALL_BATCH points each term is c_k conj(x + k)/|x + k|^2 in real
-    arithmetic: no complex division, and half the memory traffic.
+    arithmetic: no complex division, and half the memory traffic.  Its work
+    arrays hold at most _CHUNK points.
     """
     if x.size <= _SMALL_BATCH:
         return _LANCZOS_C[0] + (_LANCZOS_C[1:, None] / (x + _LANCZOS_K[:, None])).sum(axis=0)
-    re = np.add.outer(_LANCZOS_K, x.real)
-    w = re * re
-    w += x.imag**2
-    np.divide(_LANCZOS_C[1:, None], w, out=w)
-    re *= w
     out = np.empty(x.shape, dtype=complex)
-    out.real = _LANCZOS_C[0] + re.sum(axis=0)
-    out.imag = -x.imag * w.sum(axis=0)
+    for i0 in range(0, x.size, _CHUNK):
+        xc = x[i0:i0 + _CHUNK]
+        re = np.add.outer(_LANCZOS_K, xc.real)
+        w = re * re
+        w += xc.imag**2
+        np.divide(_LANCZOS_C[1:, None], w, out=w)
+        re *= w
+        out.real[i0:i0 + _CHUNK] = _LANCZOS_C[0] + re.sum(axis=0)
+        out.imag[i0:i0 + _CHUNK] = -xc.imag * w.sum(axis=0)
     return out
 
 
@@ -70,41 +79,61 @@ def _gamma_core(z: np.ndarray) -> np.ndarray:
     # (x + 1/2)(log t - 1) - g: forming (x + 1/2) log t and then subtracting t
     # rounds twice on the large phase (1.8e-13 against 1.0e-13 for |Im z| to 120).
     x = (z - 1.0).ravel()
-    log_pre = (x + 0.5) * (np.log(x + (_LANCZOS_G + 0.5)) - 1.0) - _LANCZOS_G
+    t = x + (_LANCZOS_G + 0.5)
+    if x.size <= _SMALL_BATCH:
+        log_t1 = np.log(t) - 1.0
+    else:  # log|t| - 1 + i arg t in real arithmetic: no complex log
+        log_t1 = np.empty_like(t)
+        log_t1.real = np.log(np.abs(t)) - 1.0
+        log_t1.imag = np.arctan2(t.imag, t.real)
+    log_pre = (x + 0.5) * log_t1 - _LANCZOS_G
     return (math.sqrt(2 * math.pi) * np.exp(log_pre) * _lanczos_sum(x)).reshape(z.shape)
 
 
-def _reflected(z: np.ndarray) -> np.ndarray:
-    # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) for Re z < 1/2, where all the
-    # poles are: a pole also needs |Im z| < 1e-13, so few points reach the screen
+def _screen_poles(z: np.ndarray) -> None:
+    # a pole also needs |Im z| < 1e-13, so few points reach the full test
     near = z[np.abs(z.imag) < 1e-13]
     if near.size and np.any(np.abs(near - np.round(near.real)) < 1e-13):
         raise PoleError("gamma pole at non-positive integer argument")
+
+
+def _recurred(z: np.ndarray) -> np.ndarray:
+    # Gamma(z) = Gamma(z + 1) / z on the strip -1/2 <= Re z < 1/2: the core
+    # runs at Re in [1/2, 3/2), and the only pole is z = 0
+    _screen_poles(z)
+    return _gamma_core(z + 1.0) / z
+
+
+def _reflected(z: np.ndarray) -> np.ndarray:
+    # Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) for Re z < -1/2
+    _screen_poles(z)
     # sin(pi z) = (-1)^n sin(pi (z - n)), n = round(Re z): z - n is exact, so
-    # pi z is never rounded near a pole (n = 0, the same value, for |Re z| < 1/2)
+    # pi z is never rounded near a pole
     n = np.round(z.real)
     sin = np.sin(np.pi * (z - n))
-    if n.any():
-        sin = np.where(n % 2 == 0, sin, -sin)
+    sin = np.where(n % 2 == 0, sin, -sin)
     return np.pi / (sin * _gamma_core(1.0 - z))
 
 
 def gamma(z) -> np.ndarray | complex:
-    """Gamma(z) for complex z (vectorized), via Lanczos plus reflection.
+    """Gamma(z) for complex z (vectorized): Lanczos on Re z >= 1/2, the
+    recurrence on -1/2 <= Re z < 1/2 and the reflection formula beyond.
 
     Raises PoleError when z is numerically a non-positive integer.
     """
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    left = zz.real < 0.5
-    n_left = int(np.count_nonzero(left))
-    if n_left == 0:  # all points on one side: no boolean-mask copies
+    core = zz.real >= 0.5
+    if np.count_nonzero(core) == zz.size:  # all points in one region: no boolean-mask copies
         out = _gamma_core(zz)
-    elif n_left == zz.size:
+    elif np.count_nonzero(left := zz.real < -0.5) == zz.size:
         out = _reflected(zz)
+    elif not (core.any() or left.any()):
+        out = _recurred(zz)
     else:
         out = np.empty_like(zz)
-        out[left] = _reflected(zz[left])
-        out[~left] = _gamma_core(zz[~left])
+        for mask, region in ((core, _gamma_core), (~(core | left), _recurred), (left, _reflected)):
+            if mask.any():
+                out[mask] = region(zz[mask])
     return complex(out[0]) if np.ndim(z) == 0 else out
 
 

@@ -174,3 +174,15 @@ def test_gamma_family_node_counts():
 
     axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)
     assert sum(seen) <= 900
+
+
+def test_gamma_family_sweeps_once_per_round(monkeypatch):
+    # one adaptive forward call: the norm, then one gamma sweep over both of
+    # the pair's factors
+    calls = []
+    monkeypatch.setattr(axb, "gamma", lambda z: calls.append(np.size(z)) or gamma(z))
+    f = lambda t1, t2: np.exp(-t1**2 - t2**2)
+    value, _ = axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)
+    assert len(calls) == 2 and calls[0] == 1 and calls[1] % 2 == 0
+    monkeypatch.undo()
+    assert value == axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)[0]

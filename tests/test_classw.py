@@ -73,3 +73,42 @@ def test_mellin_forward_examples():
 def test_mellin_strip_flag():
     with pytest.raises(DomainError):
         mellin_forward(lambda x: 1.0 / (1.0 + x), 1.5, strip=(0.0, 1.0))
+
+
+def _summed_from_zeros(f, z):
+    """ClassWFunction.__call__ as it was before it dropped the zeros
+    accumulator and the Horner pass for a constant polynomial."""
+    zz = np.asarray(z, dtype=complex)
+    scalar = zz.ndim == 0
+    zz = np.atleast_1d(zz)
+    out = np.zeros_like(zz)
+    for t in f.terms:
+        coeffs = np.asarray(t.poly, dtype=complex)
+        horner = np.zeros_like(zz, dtype=complex)
+        for c in coeffs[::-1]:
+            horner = horner * zz + c
+        out += np.exp(-t.a * zz**2 + t.b * zz) * horner
+    return complex(out[0]) if scalar else out
+
+
+def test_call_keeps_its_bits():
+    rng = np.random.default_rng(23)
+    gauss = ClassWFunction.gaussian(a=1.2, b=0.3 - 0.1j)
+    fs = [
+        ClassWFunction(()),
+        gauss,
+        ClassWFunction.gaussian(a=0.9, b=-0.2, poly=(0.7 - 0.4j,)),
+        ClassWFunction.gaussian(a=0.8, b=0.1j, poly=(1.0, -0.5 + 0.2j, 0.3j)),
+        ClassWFunction(gauss.terms + (WTerm(2.1, -0.4 + 0.2j, (0.3 + 1.1j,)),)),
+        ClassWFunction(gauss.terms + (WTerm(1.7, 0.2, (0.5, 0.1 - 0.3j)),)),
+        fourier_classW(ClassWFunction.gaussian(a=1.1, b=0.2, poly=(1.0, 0.4))),
+    ]
+    zs = [0.37 - 0.21j, 1.5,
+          *(rng.uniform(-4, 4, n) + 1j * rng.uniform(-1, 1, n) for n in (1, 2, 7, 300, 756)),
+          rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-1, 1, (4, 5))]
+    for f in fs:
+        for z in zs:
+            new, old = f(z), _summed_from_zeros(f, z)
+            assert type(new) is type(old) and np.shape(new) == np.shape(old)
+            assert np.array_equal(new, old)
+            assert np.array_equal(np.atleast_1d(new).view(np.int64), np.atleast_1d(old).view(np.int64))

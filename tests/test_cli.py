@@ -236,6 +236,21 @@ def test_table_bad_schedule():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "kernel-limit", "--points", "0.5,1", "--r-schedule", "0.1"),
+     "error: a kernel-limit point takes 3 values, got 2\n"),
+    (("--kind", "kernel-limit", "--points", "a,b", "--r-schedule", "0.1"),
+     "error: expected comma-separated numbers, got 'a,b'\n"),
+    (("--kind", "glim", "--points", "0.5", "--r-schedule", "0.1,abc"),
+     "error: expected comma-separated numbers, got '0.1,abc'\n"),
+])
+def test_table_malformed_tokens_are_usage_errors(capsys, argv, message):
+    # one line and exit 64, as for an eval with the wrong number of values
+    assert run_cli("table", *argv) == (64, "", message)
+    assert main(["table", *argv]) == 64
+    assert capsys.readouterr() == ("", message)
+
+
 def test_transform_classical_matches_fixture(tmp_path):
     out_json = tmp_path / "fw.json"
     code, _, _ = run_cli("transform", "--which", "classical", "--direction", "forward",
