@@ -16,11 +16,12 @@ draws them, the best of FORWARD_ROUNDS alternating fresh processes per side.
 Then a size sweep times ``gb_many`` at SWEEP_SIZES points in both regimes,
 with one BLAS thread and with the library's default threading: each round
 runs the parent and the change as fresh subprocesses in alternating order,
-and the best of SWEEP_ROUNDS rounds is kept per side.  Then, for every
-workload and seed (SEEDS, then perfbench's held-out seed), the two runs of
+and the best of SWEEP_ROUNDS rounds is kept per side.  Then, seed by seed
+(SEEDS, then perfbench's held-out seed), every workload's two runs of
 SECONDS go back to back, the parent first on even-indexed seeds and the
 change first on odd ones, so a drift of the machine's speed hits both sides
-alike.  The file records every
+alike and spreads over all the workloads' pairs instead of one workload's
+block.  The file records every
 run's end-to-end metrics and probe failure counts (ops past the library's
 declared domain, not gated), the metrics' medians, the change/parent ratio
 of the medians, the number of pairs in which the change reads lower and the
@@ -275,27 +276,37 @@ def probe_counts(text: str) -> dict:
     return {k: [int(bad), int(n)] for k, bad, n in re.findall(r"(\S+) (\d+)/(\d+)", m.group(1))}
 
 
-def pairs(roots: dict, workload: str, seeds, seconds: float) -> dict:
-    runs = {side: [] for side in roots}
+def pairs(roots: dict, seeds, seconds: float) -> dict:
+    """{workload: {"median": ..., "runs": ...}}, seed-major: for each seed,
+    every workload's pair of runs back to back."""
+    runs = {w: {side: [] for side in roots} for w in WORKLOADS}
     for i, seed in enumerate(seeds):
-        for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
-            out, text = perfbench(roots[side], workload, seed, seconds, 0)
-            runs[side].append({"seed": seed, "failed": out["failed"], "attempted": out["attempted"],
-                               "probes": probe_counts(text),
-                               **{k: v["value"] for k, v in out["metrics"].items()}})
-            print(f"{workload} seed {seed} {side}: wall_s {runs[side][-1]['wall_s']:.4f}", flush=True)
+        for workload in WORKLOADS:
+            for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
+                out, text = perfbench(roots[side], workload, seed, seconds, 0)
+                runs[workload][side].append({
+                    "seed": seed, "failed": out["failed"], "attempted": out["attempted"],
+                    "probes": probe_counts(text), **{k: v["value"] for k, v in out["metrics"].items()}})
+                print(f"{workload} seed {seed} {side}: wall_s {runs[workload][side][-1]['wall_s']:.4f}",
+                      flush=True)
+    return {w: {"median": summarize(runs[w], len(seeds) > 1), "runs": runs[w]} for w in WORKLOADS}
+
+
+def summarize(runs: dict, spread: bool) -> dict:
+    """Per metric: each side's median, the change/parent ratio, the number of
+    pairs in which the change reads lower and, with ``spread``, the parent's IQR."""
     summary = {}
     for metric in runs["parent"][0]:
         if metric in ("seed", "attempted", "probes"):
             continue
-        vals = {side: [r[metric] for r in runs[side]] for side in roots}
+        vals = {side: [r[metric] for r in rs] for side, rs in runs.items()}
         med = {side: statistics.median(v) for side, v in vals.items()}
         summary[metric] = {**med, "ratio": med["change"] / med["parent"] if med["parent"] else None,
                            "change_lower_in": sum(c < p for p, c in zip(vals["parent"], vals["change"]))}
-        if len(seeds) > 1:  # the parent's own spread, to weigh the medians' difference against
+        if spread:  # the parent's own spread, to weigh the medians' difference against
             q1, _, q3 = statistics.quantiles(vals["parent"], n=4)
             summary[metric]["parent_iqr"] = q3 - q1
-    return {"median": summary, "runs": runs}
+    return summary
 
 
 def traced(roots: dict, workload: str) -> dict:
@@ -350,13 +361,14 @@ def main(argv=None) -> int:
     result = {
         "parent": args.parent_label, "change": args.change_label,
         "nproc": os.cpu_count(), "seconds": SECONDS, "seeds": SEEDS,
-        "order": "per seed back to back, parent first on even-indexed seeds",
+        "order": "seed-major: per seed every workload's pair back to back, "
+                 "parent first on even-indexed seeds",
         "eval_latency": eval_latency(roots),
         "forward_latency": forward_latency(roots),
         "size_sweep": {"sizes": SWEEP_SIZES, "rounds": SWEEP_ROUNDS, "unit": "s per gb_many call",
                        **size_sweep(roots)},
-        "end_to_end": {w: pairs(roots, w, SEEDS, SECONDS) for w in WORKLOADS},
-        "held_out": {w: pairs(roots, w, [HELD_OUT_SEED], SECONDS) for w in WORKLOADS},
+        "end_to_end": pairs(roots, SEEDS, SECONDS),
+        "held_out": pairs(roots, [HELD_OUT_SEED], SECONDS),
         "per_layer": {"seed": TRACE_SEED, "runs": TRACE_RUNS, **{w: traced(roots, w) for w in WORKLOADS}},
         "verify": {suite: verify_pair(roots, suite) for suite in VERIFY_SUITES},
         "forward_nodes": {"lam": 0.4, "tol": 1e-9,

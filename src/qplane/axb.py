@@ -8,11 +8,17 @@ into phases and the action into a gamma-kernel contour transform.  Tensor
 products decompose through elementary changes of variables; their Mellin
 expression is a Mellin-Barnes transform whose kernels degenerate, in the
 appropriate limit, from the quantum-dilogarithm kernels.
+
+The separating-contour transforms, for the gamma kernels here and the G_b
+kernels of ``qtransform``, fold onto half their contour: in the midpoint
+variable v the beta-type weight is even and the contour point-symmetric, so
+``int_C W g dv = int_{C+} W(v) (g(v) + g(-v)) dv`` over the half C+ from
+v = 0 on, and the weight is evaluated on half the nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -186,10 +192,14 @@ def classical_kernel(kind: str, lam: float, t1: float, t2: float) -> complex:
     return _GAMMA.point(kind, lam, t1, t2).value
 
 
-def _separating_contour(t: complex, truncation: float):
-    """Contour above the head at 0 and below the head at t (shared by both
-    transforms after centering the integration variable)."""
-    return auto_detours([(0j, "above"), (complex(t), "below")], truncation=truncation)
+def _separating_contour(s: complex, truncation: float):
+    """The half, from its midpoint v = 0 on, of the contour in the midpoint
+    variable that passes above the head at -s/2 and below the head at s/2
+    (shared by both transforms).  The full contour is point-symmetric: its
+    detours sit at +-s/2 with one radius, or the line clears both heads."""
+    s = complex(s)
+    return replace(auto_detours([(-s / 2, "above"), (s / 2, "below")], truncation=truncation),
+                   start=0.0)
 
 
 class _Kernel(NamedTuple):
@@ -197,20 +207,23 @@ class _Kernel(NamedTuple):
     centered variable whose pole ladders head at 0 (contour above) and s
     (below) -- u = t2 + lam with s = t forward, mu = lam - t1 with s = -t
     inverse -- the lam-independent weight is K(i u - i s) K(-i u) / norm(s),
-    norm(s) = const K(-i s)."""
+    norm(s) = const K(-i s).  In the midpoint variable v = u - s/2 it is
+    K(i v - i s/2) K(-i v - i s/2) / norm(s), even in v, so each transform
+    integrates over the half C+ of its point-symmetric contour (``contour``)
+    with the data at both u = s/2 + v and s/2 - v."""
 
     pair: Callable  # (x, y) -> K(i x) K(-i y), vectorized
     at: Callable  # z -> K(z) at one point, as a QDValue
     const: float  # the family's constant in norm(s)
-    contour: Callable  # s -> the separating contour
+    contour: Callable  # s -> the half C+ of the separating contour in v
     max_panel: float
     forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
     inverse_phase: Callable | None = None  # (lam, t1, t2) -> the entire lam-phase
 
     def weight(self, s):
-        """u -> K(i u - i s) K(-i u) / norm(s), the norm evaluated once."""
+        """v -> K(i v - i s/2) K(-i v - i s/2) / norm(s), the norm evaluated once."""
         norm = (self.const * self.at(-1j * s)).value
-        return lambda u: self.pair(u - s, u) / norm
+        return lambda v: self.pair(v - s / 2, v + s / 2) / norm
 
     @staticmethod
     def point_args(kind: str, lam, t1, t2) -> tuple:
@@ -243,19 +256,34 @@ class _Kernel(NamedTuple):
 
 
 def _adaptive(kernel: _Kernel, term: Callable, s: complex, tol):
-    """``int term(v, weight(v)) dv`` on the contour of s by adaptive
-    quadrature: the value and the quadrature's error estimate."""
+    """``int_C term(x, weight) dv`` over the contour of s, x = s/2 + v the
+    centered variable, by adaptive quadrature on its half C+: each round
+    evaluates the weight at v and term once at x = s/2 + v and s/2 - v.
+    Returns the value and the quadrature's error estimate."""
     weight = kernel.weight(s)
-    res = integrate_contour(lambda v: term(v, weight(v)), kernel.contour(s),
-                            tol=tol, max_panel=kernel.max_panel)
+
+    def folded(v):
+        g = weight(v)
+        h = term(np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g]))
+        return h[:v.size] + h[v.size:]
+
+    res = integrate_contour(folded, kernel.contour(s), tol=tol, max_panel=kernel.max_panel)
     return complex(res.value), res.err_estimate
 
 
+def _grid(kernel: _Kernel, s: complex, level: int):
+    """The centered variable on the nodes of ``level`` of both halves of the
+    contour of s, and the weight times the quadrature weight there."""
+    v, wq = contour_nodes(kernel.contour(s), level=level, max_panel=kernel.max_panel)
+    g = kernel.weight(s)(v) * wq
+    return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g])
+
+
 def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int | None = None):
-    """``int weight(u) phase f(t - u + lam, u - lam) du``: adaptive at one
-    lam for ``level=None``, returning (value, error estimate); else on the
-    nodes of ``level`` for an array of lam, the weight evaluated once and
-    contracted one lam at a time."""
+    """``int weight phase f(t - u + lam, u - lam)`` over the contour of t:
+    adaptive at one lam for ``level=None``, returning (value, error
+    estimate); else on the nodes of ``level`` for an array of lam, the weight
+    evaluated once and contracted one lam at a time."""
 
     def term(u, g, lam):
         if kernel.forward_phase:
@@ -264,14 +292,13 @@ def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int
 
     if level is None:
         return _adaptive(kernel, lambda u, g: term(u, g, lam), t, tol)
-    u, wq = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
-    g = kernel.weight(t)(u) * wq
+    u, g = _grid(kernel, t, level)
     return np.array([np.sum(term(u, g, l)) for l in np.asarray(lam, dtype=complex)])
 
 
 def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None = None):
-    """``int weight(mu) phase F(mu + t1, t) d mu`` at t = t1 + t2 (a
-    scalar in F): adaptive for ``level=None``, returning (value, error
+    """``int weight phase F(mu + t1, t)`` over the contour of -t, t = t1 + t2
+    (a scalar in F): adaptive for ``level=None``, returning (value, error
     estimate); else the value on the nodes of ``level``."""
     t = t1 + t2
 
@@ -283,8 +310,7 @@ def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None =
 
     if level is None:
         return _adaptive(kernel, term, -t, tol)
-    mu, wq = contour_nodes(kernel.contour(-t), level=level, max_panel=kernel.max_panel)
-    return complex(np.sum(term(mu, kernel.weight(-t)(mu) * wq)))
+    return complex(np.sum(term(*_grid(kernel, -t, level))))
 
 
 def _roundtrip(kernel: _Kernel, f: TwoVarFn, t1, t2) -> complex:
@@ -311,7 +337,8 @@ def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9
     below those ascending from t2 = t - lam.
 
     Evaluated in the centered variable u = t2 + lam, which makes the kernel's
-    pole structure independent of lam (heads at u = 0 and u = t).
+    pole structure independent of lam (heads at u = 0 and u = t), folded
+    about the midpoint u = t/2.
     """
     return _forward(_GAMMA, f, lam, t, tol)[0]
 

@@ -177,7 +177,7 @@ def _cmd_eval(args) -> int:
     res = None  # a QDValue carries its own value, backend and error estimate
     if fn == "gamma":
         value = gamma(vals[0])
-        backend = "lanczos-reflection"
+        backend = "lanczos"
     elif fn in ("gb", "sb", "gb_small", "veta", "ruijsenaars_g"):
         res = {"gb": qd.gb, "sb": qd.sb, "gb_small": qd.gb_small,
                "veta": qd.veta, "ruijsenaars_g": qd.ruijsenaars_g}[fn](vals[0], p, tol)

@@ -3,12 +3,15 @@
 A contour here is a horizontal line ``Im z = c`` (optionally tilted by a
 slope, which restores Gaussian decay for Fresnel-type integrands) truncated
 to ``|Re z| <= T``, with explicit semicircular detours around poles that sit
-on or near the line.  Integrands must be vectorized: ``f(z: ndarray) -> ndarray``.
+on or near the line.  A path may also start at its midpoint: the half of a
+point-symmetric contour, over which ``int_C f = int_{C+} f(z) + f(-z)``.
+Integrands must be vectorized: ``f(z: ndarray) -> ndarray``.
 
 Both contour rules map their nodes onto one panel table, ``_base_panels``:
 on a segment, panels graded geometrically toward the poles of the detours it
-meets and no wider than ``max_panel`` elsewhere, two on an arc, and each of
-them bisected at every fixed level.
+meets and toward the poles it clears by less than ``max_panel`` (the line is
+cut at their feet), no wider than ``max_panel`` elsewhere, two on an arc,
+and each of them bisected at every fixed level.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
@@ -61,19 +64,25 @@ class Contour:
     """Horizontal integration line with pole detours.
 
     The path runs left to right along ``z = i*imag_shift + (1 + i*slope)*u``
-    for ``u in [-T, T]``.  Each detour replaces the stretch nearest its pole
-    by a semicircular arc (with vertical legs when the pole sits off the
-    line) so that the pole ends up on the prescribed side of the path.
+    for ``u in [start, T]`` (``start`` None: -T).  Each detour replaces the
+    stretch nearest its pole by a semicircular arc (with vertical legs when
+    the pole sits off the line) so that the pole ends up on the prescribed
+    side of the path.  ``cleared`` lists the poles the line passes without a
+    detour, toward which the panels are graded.
     """
 
     imag_shift: float = 0.0
     detours: tuple[Detour, ...] = field(default_factory=tuple)
     truncation: float = 8.0
     slope: float = 0.0
+    cleared: tuple[complex, ...] = ()
+    start: float | None = None
 
     def __post_init__(self):
         if not self.truncation > 0:
             raise ValueError("truncation must be positive")
+        if self.start is not None and not -self.truncation <= self.start < self.truncation:
+            raise ValueError("start must lie in [-T, T)")
         poles = [d.pole for d in self.detours]
         for i, d in enumerate(self.detours):
             if not (-self.truncation < d.pole.real < self.truncation):
@@ -139,10 +148,12 @@ _GL12 = _frozen(*np.polynomial.legendre.leggauss(12))  # the rule of contour_nod
 _ROUNDING = 50 * np.finfo(float).eps  # QUADPACK's rounding floor, per unit of sum |w f|
 
 
-def _pieces(contour: Contour) -> list[tuple]:
-    """Decompose the contour into ('seg', z0, z1, d0, d1) and ('arc', c, R, th0, th1)
-    pieces; d0 and d1 are the distances of a segment's ends to the pole of the
-    detour each end meets (inf at the truncation ends)."""
+def _pieces(contour: Contour, max_panel: float = 0.0) -> list[tuple]:
+    """Decompose the path into ('seg', z0, z1, d0, d1) and ('arc', c, R, th0, th1)
+    pieces.  d0 and d1 are the distances of a segment's ends to the poles its
+    panels are graded toward (inf when there is none): the pole of the detour
+    the end meets, and the cleared poles nearer than max_panel to the line,
+    at whose feet the line is cut."""
     c = contour.imag_shift
     T = contour.truncation
     d = 1.0 + 1j * contour.slope
@@ -156,24 +167,40 @@ def _pieces(contour: Contour) -> list[tuple]:
     def line_point(u: float) -> complex:
         return 1j * c + d * u
 
+    def foot(p: complex) -> float:
+        return ((p - 1j * c) / d).real  # parameter of the pole's foot on the line
+
+    near = [p for p in contour.cleared if abs(p - line_point(foot(p))) < max_panel]
+    cuts = sorted(foot(p) for p in near)
+
+    def dist(z: complex, pole: complex | None) -> float:
+        return min([abs(z - q) for q in near] + ([] if pole is None else [abs(z - pole)]),
+                   default=np.inf)
+
     def seg(z0: complex, z1: complex, p0: complex | None, p1: complex | None) -> tuple:
-        return ("seg", z0, z1, np.inf if p0 is None else abs(z0 - p0),
-                np.inf if p1 is None else abs(z1 - p1))
+        return ("seg", z0, z1, dist(z0, p0), dist(z1, p1))
+
+    def line(u0: float, u1: float, p0: complex | None, p1: complex | None) -> list[tuple]:
+        ends = [u0, *(u for u in cuts if u0 < u < u1), u1]
+        poles = [p0] + [None] * (len(ends) - 2) + [p1]
+        return [seg(line_point(a), line_point(b), pa, pb)
+                for a, b, pa, pb in zip(ends, ends[1:], poles, poles[1:])]
 
     pieces: list[tuple] = []
-    u_prev, p_prev = -T, None
+    u_prev, p_prev = -T if contour.start is None else contour.start, None
     for dt in dets:
-        # parameter of the pole's foot on the line
-        u_p = ((dt.pole - 1j * c) / d).real
+        u_p = foot(dt.pole)
         above = dt.side == "above"
         off = contour._offset(dt.pole)
         needs_leg = abs(off) > 1e-12
         # entry/exit in parameter units so segment ends meet the arc exactly
         du = dt.radius / abs(d)
         u_in, u_out = u_p - du, u_p + du
+        if u_out <= u_prev:
+            continue  # before the start of the path
         if u_in < u_prev - 1e-12:
             raise DomainError("detour extends beyond previous piece")
-        pieces.append(seg(line_point(u_prev), line_point(u_in), p_prev, dt.pole))
+        pieces.extend(line(u_prev, u_in, p_prev, dt.pole))
         if needs_leg:
             # vertical legs from the line up/down to the pole's height
             entry = line_point(u_in)
@@ -192,7 +219,7 @@ def _pieces(contour: Contour) -> list[tuple]:
             else:
                 pieces.append(("arc", dt.pole, dt.radius, phi + np.pi, phi + 2 * np.pi))
         u_prev, p_prev = u_out, dt.pole
-    pieces.append(seg(line_point(u_prev), line_point(T), p_prev, None))
+    pieces.extend(line(u_prev, T, p_prev, None))
     return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
 
 
@@ -230,7 +257,7 @@ def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> lis
 def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple[np.ndarray, ...]:
     """The panel table of the pieces, which every contour rule maps its nodes onto.
 
-    The level-0 panels are graded toward the detoured poles on a segment
+    The level-0 panels are graded toward the poles of a segment's ends
     (``_segment_edges``, over s in [0, 1], z = a + b s) and 2 equal ones on
     an arc (th in [th0, th1], z = a + b e^{i th}, b = R); level L bisects
     each of them L times, at ``np.linspace`` edges.  Returns arrays (a, b,
@@ -262,7 +289,7 @@ def contour_nodes(
     routines that batch integrand evaluation over tensor grids.
     """
     x, w = _GL12
-    a, b, arc, mid, half = _base_panels(_pieces(contour), max_panel, level)
+    a, b, arc, mid, half = _base_panels(_pieces(contour, max_panel), max_panel, level)
     s = mid[:, None] + half[:, None] * x
     z = a[:, None] + b[:, None] * s
     dz = np.repeat(b[:, None], x.size, axis=1)
@@ -300,7 +327,7 @@ def integrate_contour(
     if not tol > 0:
         raise ValueError("tol must be positive")
     x, w = _GK21
-    a, b, arc, mid, half = _base_panels(_pieces(contour), max_panel)
+    a, b, arc, mid, half = _base_panels(_pieces(contour, max_panel), max_panel)
     dens = tol / float(np.sum(np.abs(b * half)))  # tol per unit of contour half-length
     value, err, left, n_evals = 0j, 0.0, np.inf, 0
     for _ in range(max_levels + 1):
@@ -405,7 +432,8 @@ def auto_detours(
     """Build a horizontal contour that passes the prescribed side of each listed pole.
 
     A detour is inserted only when the line does not already clear the pole
-    on the required side by 0.05.  Radii are a quarter of the smallest gap
+    on the required side by 0.05; the poles it clears are the contour's
+    ``cleared``.  Radii are a quarter of the smallest gap
     between a detoured pole and any other listed pole, capped at 0.35: two
     close poles that the line clears need no small detour elsewhere.
     """
@@ -420,19 +448,20 @@ def auto_detours(
                 break
         else:
             merged.append((complex(p), side))
-    dets = []
+    dets, cleared = [], []
     for p, side in merged:
         if abs(p.real) >= truncation:
             continue
         off = p.imag - imag_shift
-        if side == "above" and off < -clearance:
-            continue  # line already safely above
-        if side == "below" and off > clearance:
-            continue
-        dets.append((p, side))
+        # clear when the line already passes the required side by the clearance
+        if (off < -clearance) if side == "above" else (off > clearance):
+            cleared.append(p)
+        else:
+            dets.append((p, side))
     gaps = [abs(p - q) for p, _ in dets for q, _ in merged if q != p]
     r = min(max_radius, radius_frac * min(gaps, default=4.0 * max_radius))
-    return Contour(imag_shift, tuple(Detour(p, side, r) for p, side in dets), truncation)
+    return Contour(imag_shift, tuple(Detour(p, side, r) for p, side in dets), truncation,
+                   cleared=tuple(cleared))
 
 
 def path_clear_of(
@@ -447,7 +476,8 @@ def path_clear_of(
         if any(abs(p - q) < 1e-12 for q in detoured):
             continue  # handled by its own detour
         u = ((p - 1j * contour.imag_shift) / (1 + 1j * contour.slope)).real
-        u = np.clip(u, -contour.truncation, contour.truncation)
+        lo = -contour.truncation if contour.start is None else contour.start
+        u = np.clip(u, lo, contour.truncation)
         foot = 1j * contour.imag_shift + (1 + 1j * contour.slope) * u
         if abs(p - foot) < min_distance:
             return False

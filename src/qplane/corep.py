@@ -83,11 +83,12 @@ def coproduct_kernel(x: float, w: float, z: float, p: ModularParam,
                      tol: float = 1e-10) -> complex:
     """q-binomial expansion kernel of Delta(A^{ix} B^{iz-ix}) at tau = -w,
     ``G_b(i b x - i b w) G_b(i b w - i b z) / G_b(i b x - i b z)``: the G_b
-    family's transform weight at s = b(z - x), u = b(z - w)."""
+    family's transform weight at s = b(z - x), v = b(z - w) - s/2."""
     for u, v in ((x, w), (w, z), (x, z)):
         if abs(u - v) < 1e-9:
             raise DomainError("coproduct kernel needs pairwise distinct arguments")
-    return complex(_gb_kernel(p, tol).weight(p.b * (z - x))(p.b * (z - w))[0])
+    s = p.b * (z - x)
+    return complex(_gb_kernel(p, tol).weight(s)(p.b * (z - w) - s / 2)[0])
 
 
 def corep_axiom_residual(x: float, w: float, z: float, p: ModularParam,

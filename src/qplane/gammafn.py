@@ -9,8 +9,9 @@ complex sin); and the reflection formula on Re z < -1/2.  The Lanczos
 sum's 14 partial fractions are summed by broadcasting, in complex
 arithmetic on small batches and in real arithmetic (no complex division)
 on large ones; on large batches log t is also formed in real arithmetic
-as log|t| + i arg t, and the prefactor is a single exp.  A kernel pair
-K(i x) K(-i y) is one gamma sweep over both arguments.  These are the
+as log|t| + i arg t, and the prefactor is a single exp.  A single finite
+point takes the same route in cmath, without the array overhead.  A kernel
+pair K(i x) K(-i y) is one gamma sweep over both arguments.  These are the
 classical targets that the quantum-dilogarithm limits are checked against:
 the gamma-beta integral, the Mellin-Barnes binomial formula, and the Gauss
 hypergeometric function evaluated by contour integral.
@@ -18,6 +19,7 @@ hypergeometric function evaluated by contour integral.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -115,12 +117,39 @@ def _reflected(z: np.ndarray) -> np.ndarray:
     return np.pi / (sin * _gamma_core(1.0 - z))
 
 
+_SCALAR_C = tuple(float(c) for c in _LANCZOS_C)
+
+
+def _gamma_scalar(z: complex) -> complex:
+    """gamma at one finite point in cmath: the regions, the Lanczos sum and
+    the pole screen of the array path, without its array overhead."""
+    if z.real < 0.5:
+        if abs(z.imag) < 1e-13 and abs(z - round(z.real)) < 1e-13:
+            raise PoleError("gamma pole at non-positive integer argument")
+        if z.real >= -0.5:
+            return _gamma_scalar(z + 1.0) / z
+        n = round(z.real)
+        sin = cmath.sin(math.pi * (z - n))
+        return math.pi / ((sin if n % 2 == 0 else -sin) * _gamma_scalar(1.0 - z))
+    x = z - 1.0
+    t = x + (_LANCZOS_G + 0.5)
+    lanczos = _SCALAR_C[0] + sum(c / (x + k) for k, c in enumerate(_SCALAR_C[1:], 1))
+    log_pre = (x + 0.5) * (cmath.log(t) - 1.0) - _LANCZOS_G
+    return math.sqrt(2 * math.pi) * cmath.exp(log_pre) * lanczos
+
+
 def gamma(z) -> np.ndarray | complex:
     """Gamma(z) for complex z (vectorized): Lanczos on Re z >= 1/2, the
     recurrence on -1/2 <= Re z < 1/2 and the reflection formula beyond.
+    A single finite point takes the same route in cmath, unless it overflows.
 
     Raises PoleError when z is numerically a non-positive integer.
     """
+    if np.ndim(z) == 0 and cmath.isfinite(zc := complex(z)):
+        try:
+            return _gamma_scalar(zc)
+        except OverflowError:
+            pass  # the array path's inf or NaN
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     core = zz.real >= 0.5
     if np.count_nonzero(core) == zz.size:  # all points in one region: no boolean-mask copies

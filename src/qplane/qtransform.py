@@ -18,6 +18,9 @@ G_b point at (b lam, b t1, b t2) tends to the gamma point at (lam, t1, t2)
 as q -> 1.  In the centered variable (u = t2 + lam forward, mu = lam - t1
 inverse) the G_b factors do not depend on lam: fixed-node grids and round
 trips take one G_b sweep per contour and contract it one lam at a time.
+The weight is even in the midpoint variable v = u - t/2, so that sweep (two
+``gb_many`` calls) covers only the half of the separating contour from
+v = 0 on, and the data is evaluated at both u = t/2 + v and t/2 - v.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
 
     def contour(s):
         cont = _separating_contour(s, _TRUNCATION)
-        # nearest off-head lattice points of the two pole ladders
+        # nearest off-head lattice points of the two pole ladders, in v
         step = min(abs(p.b), abs(1 / p.b))
-        if not path_clear_of(cont, [0 - 1j * step, complex(s) + 1j * step], 0.5 * step):
+        head = complex(s) / 2
+        if not path_clear_of(cont, [-head - 1j * step, head + 1j * step], 0.5 * step):
             raise DomainError("contour too close to the pole lattice (increase spacing)")
         return cont
 
@@ -113,8 +117,9 @@ def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1
 
     with C above the pole ladder descending from t2 = -lam and below the one
     ascending from t2 = t - lam.  Internally centered at u = t2 + lam, where
-    the G_b factors depend only on u and t (heads at u = 0 and u = t); f must
-    be entire with rapid decay on horizontal lines (class W), vectorized.
+    the G_b factors depend only on u and t (heads at u = 0 and u = t), and
+    folded about the midpoint u = t/2; f must be entire with rapid decay on
+    horizontal lines (class W), vectorized.
     """
     return _forward(_gb_kernel(p, tol), f, lam, t, tol)[0]
 

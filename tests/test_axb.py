@@ -162,18 +162,38 @@ def test_adaptive_forward_converges_at_small_t():
     assert abs(value - ref) <= 1e-9
 
 
-def test_gamma_family_node_counts():
-    # deterministic work counts of the graded panel table (ungraded, at
-    # max_panel 0.5: 2,880 grid nodes and 1,260 adaptive nodes)
-    assert contour_nodes(axb._GAMMA.contour(0.7), 2, axb._GAMMA.max_panel)[0].size <= 1800
-    seen = []
+@pytest.mark.parametrize("t", [0.7 + 0.1j, 0.7 + 0.2j, 2 + 0.15j])
+def test_forward_grid_holds_beside_cleared_poles(t):
+    # the line passes the heads -t/2 and t/2 at |Im t|/2 (detoured below
+    # 0.05, cleared above it); the panels are graded toward the cleared ones
+    # from their feet
+    f = lambda t1, t2: np.exp(-t1**2 - t2**2)
+    lams = np.array([-0.7, 0.4, 1.3])
+    l1, l6 = (axb.intertwiner_forward_grid(f, lams, t, level=lv) for lv in (1, 6))
+    assert np.max(np.abs(l1 - l6)) <= 1e-13
+
+
+def test_gamma_family_node_counts(monkeypatch):
+    # deterministic work counts of the folded, graded panel table at t = 0.7
+    # (over the whole contour: 1,728 grid and 756 adaptive nodes; ungraded at
+    # max_panel 0.5: 2,880 and 1,260)
+    assert contour_nodes(axb._GAMMA.contour(0.7), 2, axb._GAMMA.max_panel)[0].size <= 950
+    nodes, seen = [], []
+    quad = axb.integrate_contour
+
+    def counted(*args, **kwargs):
+        res = quad(*args, **kwargs)
+        nodes.append(res.n_evals)
+        return res
 
     def f(t1, t2):
         seen.append(np.size(t1))
         return np.exp(-t1**2 - t2**2)
 
+    monkeypatch.setattr(axb, "integrate_contour", counted)
     axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)
-    assert sum(seen) <= 900
+    assert nodes[0] <= 420
+    assert sum(seen) == 2 * nodes[0]  # the data at both v and -v, once per node
 
 
 def test_gamma_family_sweeps_once_per_round(monkeypatch):

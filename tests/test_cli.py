@@ -43,6 +43,14 @@ def test_eval_gamma(tmp_path):
     assert abs(rec["value"]["im"]) < 1e-12
 
 
+@pytest.mark.parametrize("arg", ["0.3", "2.5", "-1.7"])
+def test_eval_gamma_backend_is_lanczos(capsys, arg):
+    # every region is the Lanczos core: directly, after one recurrence step,
+    # or under the reflection formula
+    assert main(["eval", "gamma", arg]) == 0
+    assert json.loads(capsys.readouterr().out)["backend"] == "lanczos"
+
+
 def test_eval_gb_fixture():
     code, out, _ = run_cli("eval", "gb", "0.5", "--b", "0.8")
     assert code == 0

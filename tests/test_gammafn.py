@@ -21,6 +21,29 @@ def test_gamma_values():
     assert abs(gamma(0.3 + 0.4j) - GAMMA_FIX) < 1e-13
 
 
+def test_scalar_gamma_agrees_with_the_array_path():
+    # a 0-d argument takes the cmath route through the same three regions
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-20, 20, 2500) + 1j * rng.uniform(-30, 30, 2500)
+    for zk in z:
+        scalar, array = gamma(complex(zk)), gamma(np.array([zk]))[0]
+        assert isinstance(scalar, complex)
+        assert abs(scalar - array) <= 2e-14 * abs(array)
+    assert gamma(np.float64(0.3)) == gamma(0.3)
+    with np.errstate(all="ignore"):  # overflow falls back to the array path
+        assert np.isnan(gamma(200.0)) and np.isnan(gamma(np.array([200.0]))[0])
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, -3.0, 1e-14j, -2 + 1e-14j, -5 + 5e-14, -7 - 2e-14j])
+def test_scalar_gamma_screens_the_same_poles(z):
+    with pytest.raises(PoleError):
+        gamma(z)
+    with pytest.raises(PoleError):
+        gamma(np.array([z]))
+    off = z + 1e-12  # just outside the screen: both paths evaluate
+    assert abs(gamma(off) - gamma(np.array([off]))[0]) <= 1e-10 * abs(gamma(off))
+
+
 def test_gamma_pole_flag():
     with pytest.raises(PoleError):
         gamma(0.0)

@@ -108,16 +108,22 @@ def test_point_kernels_are_the_transform_integrands(family, kind, level):
     else:
         kernel = qt._gb_kernel(P08, 1e-9)
         point = lambda lam, t1, t2: qt.q_kernel(f"F_{kind}_star", (lam, t1, t2), P08, 1e-9).value
+    def both_halves(s):
+        # the centered variable s/2 + v and s/2 - v over the nodes v of the
+        # half contour, each with the node's quadrature weight
+        v, w = contour_nodes(kernel.contour(s), level=level, max_panel=kernel.max_panel)
+        return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([w, w])
+
     if kind == "floor":
         lam, t = 0.3, 0.9
-        u, w = contour_nodes(kernel.contour(t), level=level, max_panel=kernel.max_panel)
+        u, w = both_halves(t)
         direct = sum(wk * point(lam, t - uk + lam, uk - lam) * GAUSS(t - uk + lam, uk - lam)
                      for uk, wk in zip(u, w))
         ref = (axb.intertwiner_forward_grid(GAUSS, np.array([lam]), t, level) if family == "gamma"
                else qt.q_forward_grid(GAUSS, np.array([lam]), t, P08, 1e-9, level))[0]
     else:
         t1, t2 = 0.4, 0.6
-        mu, w = contour_nodes(kernel.contour(-(t1 + t2)), level=level, max_panel=kernel.max_panel)
+        mu, w = both_halves(-(t1 + t2))
         direct = sum(wk * point(mk + t1, t1, t2) * GAUSS(mk + t1, t1 + t2) for mk, wk in zip(mu, w))
         ref = axb._inverse(kernel, GAUSS, t1, t2, level=level)
     assert abs(direct - ref) <= 1e-12 * abs(ref)
@@ -166,6 +172,17 @@ def test_q_forward_grid_holds_at_small_t(t):
 
 
 def test_gb_family_grid_node_count():
-    # grading adds no quantum work at the benchmark's usual t
+    # the half contour at the benchmark's usual t (1,224 over the whole one)
     kernel = qt._gb_kernel(P08, 1e-8)
-    assert contour_nodes(kernel.contour(0.5), 1, kernel.max_panel)[0].size == 1224
+    assert contour_nodes(kernel.contour(0.5), 1, kernel.max_panel)[0].size == 624
+
+
+@pytest.mark.parametrize("family", ["gamma", "gb"])
+def test_weight_is_even_in_the_midpoint_variable(family):
+    # W(v) = K(i v - i s/2) K(-i v - i s/2) / norm(s) = W(-v): the fold's premise
+    kernel = axb._GAMMA if family == "gamma" else qt._gb_kernel(P08, 1e-10)
+    rng = np.random.default_rng(5)
+    for s in (0.7, 1.3 - 0.2j, 0.4 + 0.3j):
+        v = rng.uniform(-4, 4, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
+        w = kernel.weight(s)
+        assert np.max(np.abs(w(-v) - w(v)) / np.abs(w(v))) <= 1e-14
