@@ -157,7 +157,7 @@ def _pieces(contour: Contour, max_panel: float = 0.0) -> list[tuple]:
     c = contour.imag_shift
     T = contour.truncation
     d = 1.0 + 1j * contour.slope
-    phi = np.arctan2(contour.slope, 1.0)
+    phi = math.atan2(contour.slope, 1.0)
 
     dets = sorted(contour.detours, key=lambda dt: dt.pole.real)
     for a, b in zip(dets, dets[1:]):
@@ -175,7 +175,7 @@ def _pieces(contour: Contour, max_panel: float = 0.0) -> list[tuple]:
 
     def dist(z: complex, pole: complex | None) -> float:
         return min([abs(z - q) for q in near] + ([] if pole is None else [abs(z - pole)]),
-                   default=np.inf)
+                   default=math.inf)
 
     def seg(z0: complex, z1: complex, p0: complex | None, p1: complex | None) -> tuple:
         return ("seg", z0, z1, dist(z0, p0), dist(z1, p1))
@@ -209,15 +209,15 @@ def _pieces(contour: Contour, max_panel: float = 0.0) -> list[tuple]:
             leg_out = dt.pole + dt.radius
             pieces.append(seg(entry, leg_in, dt.pole, dt.pole))
             if above:
-                pieces.append(("arc", dt.pole, dt.radius, np.pi, 0.0))
+                pieces.append(("arc", dt.pole, dt.radius, math.pi, 0.0))
             else:
-                pieces.append(("arc", dt.pole, dt.radius, np.pi, 2 * np.pi))
+                pieces.append(("arc", dt.pole, dt.radius, math.pi, 2 * math.pi))
             pieces.append(seg(leg_out, exitp, dt.pole, dt.pole))
         else:
             if above:
-                pieces.append(("arc", dt.pole, dt.radius, phi + np.pi, phi))
+                pieces.append(("arc", dt.pole, dt.radius, phi + math.pi, phi))
             else:
-                pieces.append(("arc", dt.pole, dt.radius, phi + np.pi, phi + 2 * np.pi))
+                pieces.append(("arc", dt.pole, dt.radius, phi + math.pi, phi + 2 * math.pi))
         u_prev, p_prev = u_out, dt.pole
     pieces.extend(line(u_prev, T, p_prev, None))
     return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
@@ -264,18 +264,26 @@ def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple
     arc, mid, half) with one entry per panel; the panel is s = mid + half x,
     x in [-1, 1].
     """
-    edges = [_segment_edges(abs(p[2] - p[1]), p[3], p[4], max_panel) if p[0] == "seg"
-             else _linspace(p[3], p[4], 2) for p in pieces]
-    left = np.array([x for e in edges for x in e[:-1]])[:, None]
-    right = np.array([x for e in edges for x in e[1:]])
-    n = 2**level
-    sub = np.arange(n + 1) * ((right[:, None] - left) / n) + left
-    sub[:, -1] = right
-    lo, hi = sub[:, :-1].ravel(), sub[:, 1:].ravel()
-    idx = np.repeat(np.arange(len(pieces)), [n * (len(e) - 1) for e in edges])
-    a = np.array([p[1] for p in pieces], dtype=complex)[idx]
-    b = np.array([p[2] - p[1] if p[0] == "seg" else p[2] for p in pieces], dtype=complex)[idx]
-    arc = np.array([p[0] == "arc" for p in pieces])[idx]
+    a, b, arc, lo, hi = [], [], [], [], []
+    for p in pieces:
+        if p[0] == "seg":
+            e, step = _segment_edges(abs(p[2] - p[1]), p[3], p[4], max_panel), p[2] - p[1]
+        else:
+            e, step = _linspace(p[3], p[4], 2), p[2]
+        n = len(e) - 1
+        a += [p[1]] * n
+        b += [step] * n
+        arc += [p[0] == "arc"] * n
+        lo += e[:-1]
+        hi += e[1:]
+    a, b, arc = np.array(a, dtype=complex), np.array(b, dtype=complex), np.array(arc)
+    lo, hi = np.array(lo), np.array(hi)
+    if level:
+        n = 2**level
+        sub = np.arange(n + 1) * ((hi - lo)[:, None] / n) + lo[:, None]
+        sub[:, -1] = hi
+        lo, hi = sub[:, :-1].ravel(), sub[:, 1:].ravel()
+        a, b, arc = (np.repeat(v, n) for v in (a, b, arc))
     return a, b, arc, 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
@@ -328,40 +336,44 @@ def integrate_contour(
         raise ValueError("tol must be positive")
     x, w = _GK21
     a, b, arc, mid, half = _base_panels(_pieces(contour, max_panel), max_panel)
-    dens = tol / float(np.sum(np.abs(b * half)))  # tol per unit of contour half-length
+    bh = np.abs(b * half)  # each panel's share of the contour's half-length
+    dens = tol / float(np.sum(bh))  # tol per unit of contour half-length
     value, err, left, n_evals = 0j, 0.0, np.inf, 0
     for _ in range(max_levels + 1):
         if n_evals + x.size * mid.size > 4_000_000:
             break
         s = mid[:, None] + half[:, None] * x
         z = a[:, None] + b[:, None] * s
-        if arcs := bool(arc.any()):
-            e = np.exp(1j * s[arc])
-            z[arc] = a[arc, None] + b[arc, None] * e
-        fj = _require_vector_fn(f, z.ravel()).reshape(z.shape) * b[:, None]
-        if arcs:
-            fj[arc] *= 1j * e  # dz = i R e^{i th} dth
+        ia = np.flatnonzero(arc)
+        if ia.size:
+            e = np.exp(1j * s[ia])
+            z[ia] = a[ia, None] + b[ia, None] * e
+        fj = _require_vector_fn(f, z.ravel()).reshape(z.shape)
+        fj *= b[:, None]
+        if ia.size:
+            fj[ia] *= 1j * e  # dz = i R e^{i th} dth
         n_evals += z.size
         # einsum, not a BLAS product: a threaded zgemv wakes its threads on every call
-        kg = np.einsum("ij,jk->ik", fj, w) * half[:, None]
+        kg = np.einsum("ij,jk->ik", fj, w)
+        kg *= half[:, None]
         diff = np.abs(kg[:, 0] - kg[:, 1])
         # below the rounding of its own sums a panel gains nothing from bisection
         floor = _ROUNDING * np.abs(half) * np.einsum("ij,j->i", np.abs(fj), w[:, 0])
-        done = (diff <= dens * np.abs(b * half)) | (diff <= floor)
+        done = (diff <= dens * bh) | (diff <= floor)
         diff = np.maximum(diff, floor)
-        if err + float(np.sum(diff)) <= tol:  # the whole estimate already meets tol
-            done[:] = True
+        total = float(np.sum(diff))
+        if err + total <= tol:  # the whole estimate already meets tol
+            return QuadResult(value + complex(np.sum(kg[:, 0])), err + total, n_evals)
         value += complex(np.sum(kg[done, 0]))
         err += float(np.sum(diff[done]))
         keep = ~done
         left = float(np.sum(diff[keep]))
         if not keep.any():
-            if err <= tol:
-                return QuadResult(value, err, n_evals)
             break  # the rounding floor alone exceeds tol
         m, h = mid[keep], 0.5 * half[keep]
         a, b, arc, half = (np.concatenate([v, v]) for v in (a[keep], b[keep], arc[keep], h))
         mid = np.concatenate([m - h, m + h])
+        bh = np.abs(b * half)
     raise QuadratureError(
         f"contour quadrature did not reach tol={tol} (estimate {err + left:.3e} "
         f"after {n_evals} nodes)"
