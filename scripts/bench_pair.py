@@ -33,8 +33,10 @@ with each run's work-count digest and whether they agree.  Each suite in
 VERIFY_SUITES is timed once through ``qplane verify`` in a fresh
 interpreter, with the sha256 of each side's report and whether the two
 reports are byte-identical (``same_report``).  Last, each checkout counts
-the integrand nodes of one adaptive ``axb.intertwiner_forward`` call at each
-t in NODE_TS (deterministic), and its lines per ``src/qplane`` module
+the integrand nodes of one call of each adaptive contour user in NODES_CHILD
+(deterministic): ``axb.intertwiner_forward`` and ``qtransform.apply_q_forward``
+at each t in NODE_TS, ``axb.act_mellin``, ``gammafn.hyp2f1_contour`` and
+``gammafn.binomial_mellin_residual``; and its lines per ``src/qplane`` module
 (``src_lines``), so the net-lines figure comes from the same file as the
 timings.  A full run takes about 50 minutes.
 """
@@ -157,13 +159,18 @@ for f, lam, t in ops:
     times.append(time.perf_counter() - t0)
 print(json.dumps(statistics.median(times)))
 """
-# One child of the node count: integrand nodes per adaptive intertwiner_forward call,
-# counted through the integrand that axb hands to integrate_contour.
+# One child of the node count: integrand nodes of the adaptive contour users, per
+# call, counted through the integrand that axb and gammafn hand to integrate_contour:
+# intertwiner_forward (lam = 0.4) and apply_q_forward (b = 0.8, lam = 0.4) at each t
+# in NODE_TS, act_mellin with and without a raised line, hyp2f1_contour and
+# binomial_mellin_residual at the arguments of verify's and the tests' cases.
 NODE_TS = (0.2, 0.3, 0.5, 1.0)
 NODES_CHILD = """
 import json, sys
 import numpy as np
-from qplane import axb
+from qplane import axb, gammafn, qtransform
+from qplane.gammafn import gamma
+from qplane.modular import from_b
 count = [0]
 quad = axb.integrate_contour
 def counted(f, *args, **kwargs):
@@ -171,18 +178,31 @@ def counted(f, *args, **kwargs):
         count[0] += np.size(z)
         return f(z)
     return quad(g, *args, **kwargs)
-axb.integrate_contour = counted
-f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3 * t1)
-out = {}
-for t in json.loads(sys.argv[1]):
+axb.integrate_contour = gammafn.integrate_contour = counted
+def nodes(call, *args, **kwargs):
     count[0] = 0
-    axb.intertwiner_forward(f, 0.4, t)
-    out[t] = count[0]
-print(json.dumps(out))
+    call(*args, **kwargs)
+    return count[0]
+f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3 * t1)
+F = lambda z: gamma(1 + 1j * np.asarray(z, dtype=complex))
+g = axb.GroupElement(1.5, 0.7)
+ts = json.loads(sys.argv[1])
+print(json.dumps({
+    "intertwiner_forward": {t: nodes(axb.intertwiner_forward, f, 0.4, t) for t in ts},
+    "apply_q_forward": {t: nodes(qtransform.apply_q_forward, f, 0.4, t, from_b(0.8)) for t in ts},
+    "act_mellin": {"(1.5, 0.7), w=0.3": nodes(axb.act_mellin, g, axb.R_PLUS, F, 0.3),
+                   "(1.5, 0.7), w=0.3, imag_shift=0.3":
+                       nodes(axb.act_mellin, g, axb.R_PLUS, F, 0.3, imag_shift=0.3)},
+    "hyp2f1_contour": {repr(a): nodes(gammafn.hyp2f1_contour, *a) for a in
+                       ((0.5, 1.3, 2.1, -0.4), (0.3, 0.7, 1.4, -0.6), (1, 1, 2, -1),
+                        (0.2 + 0.1j, 1.1, 2, -0.3 + 0.2j))},
+    "binomial_mellin_residual": {repr(a): nodes(gammafn.binomial_mellin_residual, *a)
+                                 for a in ((0.5, 1, 1), (2, 1, -2), (1, 2, 0.3))},
+}))
 """
 
 
-def forward_nodes(root: Path) -> dict:
+def adaptive_nodes(root: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", NODES_CHILD, json.dumps(NODE_TS)],
                           env={**os.environ, **ENV, "PYTHONPATH": str(root / "src")},
                           capture_output=True, text=True, check=True)
@@ -371,8 +391,7 @@ def main(argv=None) -> int:
         "held_out": pairs(roots, [HELD_OUT_SEED], SECONDS),
         "per_layer": {"seed": TRACE_SEED, "runs": TRACE_RUNS, **{w: traced(roots, w) for w in WORKLOADS}},
         "verify": {suite: verify_pair(roots, suite) for suite in VERIFY_SUITES},
-        "forward_nodes": {"lam": 0.4, "tol": 1e-9,
-                          **{side: forward_nodes(root) for side, root in roots.items()}},
+        "adaptive_nodes": {side: adaptive_nodes(root) for side, root in roots.items()},
         "src_lines": {side: src_lines(root) for side, root in roots.items()},
     }
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

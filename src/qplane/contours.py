@@ -10,8 +10,11 @@ Integrands must be vectorized: ``f(z: ndarray) -> ndarray``.
 Both contour rules map their nodes onto one panel table, ``_base_panels``:
 on a segment, panels graded geometrically toward the poles of the detours it
 meets and toward the poles it clears by less than ``max_panel`` (the line is
-cut at their feet), no wider than ``max_panel`` elsewhere, two on an arc,
-and each of them bisected at every fixed level.
+cut at their feet), two on an arc, and each of them bisected at every fixed
+level.  A segment graded at one end only doubles its panels out to the
+other end, so each stays no wider than about its distance to that pole;
+``max_panel`` caps the panels only on segments graded at both ends (a
+pinch) or at neither.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
@@ -234,14 +237,28 @@ def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> lis
 
     An end at distance d < max_panel from a pole gets edges at d (2^k - 1),
     k = 1, 2, ...: panels of width d, 2d, 4d, ..., each its own width from
-    the pole, while the width stays under max_panel and the edge inside the
-    end's room (the segment, or its half when both ends are graded) by more
-    than rounding, so that a run which would fill its room exactly, as in a
-    pinch whose detours are a quarter of the gap, leaves no sliver.  The
-    span between the two runs gets ceil(span / max_panel) equal panels; in
-    a pinch it is at most twice as wide as it is far from the poles.
+    the pole.  When only one end is graded, its run doubles out to the far
+    end: it stops where the next edge would leave the segment, and the last
+    panel takes the remainder, merged into the panel before it when it
+    would be narrower than half of that one (which is then at most 1.5
+    times its distance from the pole).  When both ends are graded (a
+    pinch), each run stays in its half and under max_panel, with no edge
+    within rounding of the half's end, so that a run which would fill it
+    exactly, as in a pinch whose detours are a quarter of the gap, leaves
+    no sliver; the span between the two runs, and a segment with no graded
+    end, get ceil(span / max_panel) equal panels.  So max_panel caps the
+    panels only on pinched and ungraded segments; in a pinch the span is at
+    most twice as wide as it is far from the poles.
     """
-    room = (0.5 if max(d0, d1) < max_panel else 1.0) * length * (1 - 1e-9)
+    if (d0 < max_panel) != (d1 < max_panel):
+        dist, run = min(d0, d1), [0.0]
+        while dist * (2 ** len(run) - 1) < length:
+            run.append(dist * (2 ** len(run) - 1))
+        if len(run) > 1 and length - run[-1] < 0.5 * (run[-1] - run[-2]):
+            run.pop()  # a thin remainder joins the panel before it
+        edges = [e / length for e in run] + [1.0]
+        return edges if d0 < d1 else [1.0 - e for e in edges[::-1]]
+    room = 0.5 * length * (1 - 1e-9)
 
     def run(dist: float) -> list[float]:
         k = 0
@@ -319,7 +336,8 @@ def integrate_contour(
     The base panels are the level-0 ``_base_panels``, those of ``contour_nodes``
     at level 0: graded toward the detoured poles on a segment (``z0 + (z1 -
     z0) s``, s in [0, 1]) and 2 per arc (``c + R e^{i th}``).  Each round
-    evaluates ``f`` once on the 21 Kronrod nodes of every active panel; a panel is kept when its 21- and 10-point
+    evaluates ``f`` once on the 21 Kronrod nodes of every active panel (the
+    array ``f`` returns is scaled in place); a panel is kept when its 21- and 10-point
     values differ by at most ``tol`` times its share of the contour's length
     (or by no more than the rounding of its sums, 50 eps sum |w f|), and is
     bisected in its parameter otherwise.  Every panel is kept once the

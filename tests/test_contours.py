@@ -194,6 +194,27 @@ def test_error_estimate_bounds_the_error_against_mpmath():
         assert abs(value - _mp_contour(mp, fmp, full)) <= err <= 1e-9
 
 
+@pytest.mark.parametrize("lam", [3.0, 5.0])
+def test_adaptive_forward_on_the_doubled_panels_against_mpmath(lam):
+    # at these lam the data's bump, at v = lam - t/2, sits on panels that the
+    # run from the detour at t/2 doubled past max_panel
+    mp = pytest.importorskip("mpmath")
+    from qplane import axb
+
+    t = 0.7
+    g = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2)
+    value, err = axb._forward(axb._GAMMA, g, lam, t, 1e-9)
+    full = replace(axb._GAMMA.contour(t), start=None)
+    a, b, arc, mid, half = contours._base_panels(contours._pieces(full, 1.0), 1.0)
+    lo, hi = (a + b * (mid - half)).real, (a + b * (mid + half)).real
+    assert np.any(~arc & (lo <= lam - t / 2) & (lam - t / 2 <= hi) & (hi - lo > 1.0))
+    fmp = lambda v: (mp.gamma(1j * (v - t / 2)) * mp.gamma(-1j * (v + t / 2))
+                     / (2 * mp.pi * mp.gamma(-1j * mp.mpf(t)))
+                     * mp.exp(-((t / 2 - v + lam) ** 2 + (v + t / 2 - lam) ** 2) / 2))
+    with mp.workdps(25):
+        assert abs(value - _mp_contour(mp, fmp, full)) <= err <= 1e-9
+
+
 @pytest.mark.parametrize("t", [0.7, 1e-3, -1.3, 0.7 + 0.02j, 0.7 + 0.2j, 2 - 0.15j])
 def test_separating_contour_is_point_symmetric(t):
     # the full contour maps onto itself under v -> -v; its half starts at v = 0
@@ -236,13 +257,13 @@ def test_rounding_floor_is_reported_not_hidden():
 # first three and the last are the gamma family's, its 1/(2 pi) in the
 # weight's norm; the other four are the G_b family's)
 GRID_PINS = [
-    ("0x1.20414d881d2f7p-1", "0x1.88faf84868809p-3"),
+    ("0x1.20414d881d2f7p-1", "0x1.88faf8486880ap-3"),
     ("0x1.2a5792a05d38cp-1", "0x1.024fddfe1c983p-1"),
-    ("0x1.3736afa242f1cp-3", "0x1.ae1220bce495cp-4"),
-    ("0x1.eb3e02d423e36p-3", "0x1.31b38f9492663p-1"),
-    ("0x1.6a5a4d0e64a81p-1", "0x1.23670314627f2p-4"),
-    ("0x1.75b730dc8ad54p-4", "0x1.5444c66ce31d1p-2"),
-    ("0x1.aff4d5b822762p-1", "0x1.3702337a5640ap-4"),
+    ("0x1.3736afa242f1dp-3", "0x1.ae1220bce495dp-4"),
+    ("0x1.eb3e02d423daep-3", "0x1.31b38f9492683p-1"),
+    ("0x1.6a5a4d0e64abep-1", "0x1.2367031462764p-4"),
+    ("0x1.75b730dc8adb9p-4", "0x1.5444c66ce31dcp-2"),
+    ("0x1.aff4d5b822762p-1", "0x1.3702337a5640cp-4"),
     ("0x1.768e9a3925fe3p-1", "-0x1.46237a1ead8c4p-1"),
 ]
 
@@ -290,32 +311,46 @@ def test_panel_cache_matches_a_rebuild(monkeypatch):
     assert integrate_contour(f, cont, tol=1e-10) == res
 
 
-def _graded_run(dist, room, max_panel=0.5):
+def _graded_run(dist, room, cap):
     """Distances from a segment end to its graded edges: d (2^k - 1) for the
-    panels of width d 2^(k-1) < max_panel that end inside the room."""
+    panels of width d 2^(k-1) < cap that end inside the room."""
     run = [0.0]
-    while dist * 2 ** (len(run) - 1) < max_panel and dist * (2 ** len(run) - 1) < room:
+    while dist * 2 ** (len(run) - 1) < cap and dist * (2 ** len(run) - 1) < room:
         run.append(dist * (2 ** len(run) - 1))
     return run
 
 
+def _reference_edges(length, d0, d1, max_panel=0.5):
+    """Panel edges of a segment as fractions of its length.  One end within
+    max_panel of its pole: that end's run doubles, uncapped, while its edges
+    stay inside the segment; the remainder is the last panel, or joins the
+    run's last panel when narrower than half of it.  Both ends: each run is
+    capped at max_panel and kept to its half less a rounding margin, and the
+    span between the runs gets ceil(span / max_panel) equal panels; so does
+    a segment with no graded end."""
+    if (d0 < max_panel) != (d1 < max_panel):
+        run = _graded_run(min(d0, d1), length, np.inf)
+        if len(run) > 1 and length - run[-1] < (run[-1] - run[-2]) / 2:
+            run = run[:-1]
+        fractions = [e / length for e in run] + [1.0]
+        return fractions if d0 < max_panel else [1.0 - e for e in reversed(fractions)]
+    room = length / 2 * (1 - 1e-9)
+    head = [e / length for e in _graded_run(d0, room, max_panel)]
+    tail = [1.0 - e / length for e in _graded_run(d1, room, max_panel)][::-1]
+    n = max(1, int(np.ceil((tail[0] - head[-1]) * length / max_panel)))
+    return head[:-1] + list(np.linspace(head[-1], tail[0], n + 1)) + tail[1:]
+
+
 def _per_piece_rule(contour, level):
-    """12-point Gauss-Legendre panels built piece by piece.  A segment's end
-    within 0.5 of its detour's pole is graded by ``_graded_run`` (room: half
-    the segment when both ends are, else all of it, less a rounding margin),
-    and the span between the runs gets ceil(span / 0.5) equal panels; an arc
-    gets 2.  Each of these panels is cut into 2**level at linspace edges."""
+    """12-point Gauss-Legendre panels built piece by piece: a segment's
+    base edges by ``_reference_edges`` (s in [0, 1]), an arc's 2 equal
+    panels; each of these panels is cut into 2**level at linspace edges."""
     x, w = np.polynomial.legendre.leggauss(12)
     nodes, weights = [], []
     for p in contours._pieces(contour):
         if p[0] == "seg":
             z0, z1, d0, d1 = p[1:]
-            length = abs(z1 - z0)
-            room = (length / 2 if d0 < 0.5 and d1 < 0.5 else length) * (1 - 1e-9)
-            head = [e / length for e in _graded_run(d0, room)]
-            tail = [1.0 - e / length for e in _graded_run(d1, room)][::-1]
-            n = max(1, int(np.ceil((tail[0] - head[-1]) * length / 0.5)))
-            base = head[:-1] + list(np.linspace(head[-1], tail[0], n + 1)) + tail[1:]
+            base = _reference_edges(abs(z1 - z0), d0, d1)
         else:
             base = list(np.linspace(p[3], p[4], 3))
         for lo, hi in zip(base, base[1:]):
@@ -357,13 +392,27 @@ def test_contour_nodes_match_a_per_piece_build(cont):
 def test_graded_panels_keep_clear_of_the_pinching_poles(t):
     from qplane import axb
 
-    cont = axb._GAMMA.contour(t)
-    a, b, arc, mid, half = contours._base_panels(contours._pieces(cont), 1.0)
-    lo, hi = (a + b * (mid - half))[~arc], (a + b * (mid + half))[~arc]
-    width = np.abs(hi - lo)
-    assert width.max() <= 1.0
-    radius = cont.detours[0].radius
-    assert abs(width.min() - radius) <= 1e-15  # the panels beside a detour are its radius wide
-    for d in cont.detours:  # on-line poles: the nearer panel end is the distance
-        dist = np.minimum(np.abs(lo - d.pole), np.abs(hi - d.pole))
-        assert np.all(dist >= 0.5 * width * (1 - 1e-12))
+    half = axb._GAMMA.contour(t)
+    for cont in (half, replace(half, start=None)):  # the whole one also has the pinch
+        pieces = contours._pieces(cont, 1.0)
+        a, b, arc, mid, h = contours._base_panels(pieces, 1.0)
+        lo, hi = a + b * (mid - h), a + b * (mid + h)
+        width = np.abs(hi - lo)
+        kinds = set()
+        for p in [p for p in pieces if p[0] == "seg"]:
+            on = ~arc & (a == p[1]) & (b == p[2] - p[1])  # a segment's panels share its a and b
+            if (p[3] < 1.0) != (p[4] < 1.0):  # one graded end: at most 1.5 x the distance to its pole
+                end = p[1] if p[3] < 1.0 else p[2]
+                pole = min((d.pole for d in cont.detours), key=lambda q: abs(q - end))
+                dist = np.minimum(np.abs(lo[on] - pole), np.abs(hi[on] - pole))
+                assert np.all(width[on] <= 1.5 * dist * (1 + 1e-12))
+                kinds.add("one-ended")
+            else:  # a pinch, or no graded end: at most max_panel
+                assert width[on].max() <= 1.0
+                kinds.add("pinch")
+        assert kinds == ({"one-ended"} if cont is half else {"one-ended", "pinch"})
+        for d in cont.detours:  # on-line poles: the nearer panel end is the distance
+            dist = np.minimum(np.abs(lo - d.pole), np.abs(hi - d.pole))[~arc]
+            assert np.all(dist >= 0.5 * width[~arc] * (1 - 1e-12))
+        if cont is half:  # the panels beside a detour are its radius wide
+            assert abs(width[~arc].min() - cont.detours[0].radius) <= 1e-15

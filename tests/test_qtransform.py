@@ -171,10 +171,20 @@ def test_q_forward_grid_holds_at_small_t(t):
     assert np.max(np.abs(l1 - l2)) <= 1e-10
 
 
+@pytest.mark.parametrize("t", [0.2, 0.5, 1.4])
+def test_q_forward_grid_holds_on_the_doubled_panels(t):
+    f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3j * t1)
+    lams = 4.5 * np.polynomial.legendre.leggauss(48)[0]
+    l4 = qt.q_forward_grid(f, lams, t, P08, level=4)
+    for level in (1, 2):
+        assert np.max(np.abs(qt.q_forward_grid(f, lams, t, P08, level=level) - l4)) <= 1e-13
+
+
 def test_gb_family_grid_node_count():
-    # the half contour at the benchmark's usual t (1,224 over the whole one)
+    # the half contour at the benchmark's usual t, its runs doubling out to
+    # T and back to v = 0 (624 with every panel capped at max_panel)
     kernel = qt._gb_kernel(P08, 1e-8)
-    assert contour_nodes(kernel.contour(0.5), 1, kernel.max_panel)[0].size == 624
+    assert contour_nodes(kernel.contour(0.5), 1, kernel.max_panel)[0].size == 216
 
 
 @pytest.mark.parametrize("family", ["gamma", "gb"])
