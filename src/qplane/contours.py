@@ -12,9 +12,8 @@ on a segment, panels graded geometrically toward the poles of the detours it
 meets and toward the poles it clears by less than ``max_panel`` (the line is
 cut at their feet), two on an arc, and each of them bisected at every fixed
 level.  A segment graded at one end only doubles its panels out to the
-other end, so each stays no wider than about its distance to that pole;
-``max_panel`` caps the panels only on segments graded at both ends (a
-pinch) or at neither.
+other end; ``max_panel`` caps the panels only on segments graded at both
+ends (a pinch) or at neither.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
@@ -240,15 +239,16 @@ def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> lis
     the pole.  When only one end is graded, its run doubles out to the far
     end: it stops where the next edge would leave the segment, and the last
     panel takes the remainder, merged into the panel before it when it
-    would be narrower than half of that one (which is then at most 1.5
-    times its distance from the pole).  When both ends are graded (a
-    pinch), each run stays in its half and under max_panel, with no edge
-    within rounding of the half's end, so that a run which would fill it
-    exactly, as in a pinch whose detours are a quarter of the gap, leaves
-    no sliver; the span between the two runs, and a segment with no graded
-    end, get ceil(span / max_panel) equal panels.  So max_panel caps the
-    panels only on pinched and ungraded segments; in a pinch the span is at
-    most twice as wide as it is far from the poles.
+    would be narrower than half of that one.  So a panel x from the end is
+    at most 1.5 (d + x) wide: 1.5 times its distance from a pole on the
+    line.  When both ends are graded (a pinch), each run stays in its half
+    and under max_panel, with no edge within rounding of the half's end, so
+    that a run which would fill it exactly, as in a pinch whose detours are
+    a quarter of the gap, leaves no sliver; the span between the two runs,
+    and a segment with no graded end, get ceil(span / max_panel) equal
+    panels.  So max_panel caps the panels only on pinched and ungraded
+    segments; in a pinch the span is at most twice as wide as it is far
+    from the poles.
     """
     if (d0 < max_panel) != (d1 < max_panel):
         dist, run = min(d0, d1), [0.0]
