@@ -250,23 +250,21 @@ def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> lis
     segments; in a pinch the span is at most twice as wide as it is far
     from the poles.
     """
+    def run(dist: float, cap: float, room: float) -> list[float]:
+        k = 0  # panels of width dist 2^(k-1) < cap whose edges stay inside the room
+        while dist * 2**k < cap and dist * (2 ** (k + 1) - 1) < room:
+            k += 1
+        return [0.0] + [dist * (2**j - 1) for j in range(1, k + 1)]
+
     if (d0 < max_panel) != (d1 < max_panel):
-        dist, run = min(d0, d1), [0.0]
-        while dist * (2 ** len(run) - 1) < length:
-            run.append(dist * (2 ** len(run) - 1))
-        if len(run) > 1 and length - run[-1] < 0.5 * (run[-1] - run[-2]):
-            run.pop()  # a thin remainder joins the panel before it
-        edges = [e / length for e in run] + [1.0]
+        edges = run(min(d0, d1), math.inf, length)
+        if len(edges) > 1 and length - edges[-1] < 0.5 * (edges[-1] - edges[-2]):
+            edges.pop()  # a thin remainder joins the panel before it
+        edges = [e / length for e in edges] + [1.0]
         return edges if d0 < d1 else [1.0 - e for e in edges[::-1]]
     room = 0.5 * length * (1 - 1e-9)
-
-    def run(dist: float) -> list[float]:
-        k = 0
-        while dist * 2**k < max_panel and dist * (2 ** (k + 1) - 1) < room:
-            k += 1
-        return [0.0] + [dist * (2**j - 1) / length for j in range(1, k + 1)]
-
-    head, tail = run(d0), [1.0 - e for e in run(d1)[::-1]]
+    head = [e / length for e in run(d0, max_panel, room)]
+    tail = [1.0 - e / length for e in run(d1, max_panel, room)][::-1]
     n = max(1, math.ceil((tail[0] - head[-1]) * length / max_panel))
     return head[:-1] + _linspace(head[-1], tail[0], n)[:-1] + tail
 
