@@ -59,7 +59,7 @@ HELD_OUT_SEED = 4145  # perfbench/run.py HELD_OUT_SEED
 TRACE_SEED, TRACE_SECONDS, TRACE_RUNS = 101, 10.0, 3
 LAYERS = {m["name"]: m["unit"] for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"]}
-VERIFY_SUITES = ("limits", "classical-rep", "all")
+VERIFY_SUITES = ("limits", "classical-rep", "q-intertwiner", "all")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SWEEP_SIZES, SWEEP_ROUNDS = (1, 4, 32, 128, 1152), 7
 # One child of the size sweep: per regime and size, the best over 5 repeats of the
@@ -164,7 +164,7 @@ print(json.dumps(statistics.median(times)))
 # intertwiner_forward (lam = 0.4) and apply_q_forward (b = 0.8, lam = 0.4) at each t
 # in NODE_TS, act_mellin with and without a raised line, hyp2f1_contour and
 # binomial_mellin_residual at the arguments of verify's and the tests' cases.
-NODE_TS = (0.2, 0.3, 0.5, 1.0)
+NODE_TS = (0.2, 0.3, 0.5, 1.0, 1.4, 2.5)
 NODES_CHILD = """
 import json, sys
 import numpy as np

@@ -31,6 +31,7 @@ from .qdilog import QDValue
 TwoVarFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _TRUNCATION = 14.0  # half-length of the intertwiners' separating contour
+_MAX_PANEL = 1.0  # panel cap of both kernel families' separating contours
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,6 @@ class _Kernel(NamedTuple):
     at: Callable  # z -> K(z) at one point, as a QDValue
     const: float  # the family's constant in norm(s)
     contour: Callable  # s -> the half C+ of the separating contour in v
-    max_panel: float
     forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
     inverse_phase: Callable | None = None  # (lam, t1, t2) -> the entire lam-phase
 
@@ -267,14 +267,14 @@ def _adaptive(kernel: _Kernel, term: Callable, s: complex, tol):
         h = term(np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g]))
         return h[:v.size] + h[v.size:]
 
-    res = integrate_contour(folded, kernel.contour(s), tol=tol, max_panel=kernel.max_panel)
+    res = integrate_contour(folded, kernel.contour(s), tol=tol, max_panel=_MAX_PANEL)
     return complex(res.value), res.err_estimate
 
 
 def _grid(kernel: _Kernel, s: complex, level: int):
     """The centered variable on the nodes of ``level`` of both halves of the
     contour of s, and the weight times the quadrature weight there."""
-    v, wq = contour_nodes(kernel.contour(s), level=level, max_panel=kernel.max_panel)
+    v, wq = contour_nodes(kernel.contour(s), level=level, max_panel=_MAX_PANEL)
     g = kernel.weight(s)(v) * wq
     return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g])
 
@@ -327,7 +327,7 @@ def _gamma_pair(x, y):
 
 _GAMMA = _Kernel(_gamma_pair,
                  lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
-                 lambda s: _separating_contour(s, _TRUNCATION), 1.0)
+                 lambda s: _separating_contour(s, _TRUNCATION))
 
 
 def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:

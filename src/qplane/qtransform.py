@@ -56,8 +56,7 @@ def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
 
     return _Kernel(
         lambda x, y: gb_many(1j * x, p, tol) * gb_many(-1j * y, p, tol),
-        lambda z: gb(z, p, tol), 1.0,
-        contour, max_panel=0.25,
+        lambda z: gb(z, p, tol), 1.0, contour,
         forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
         inverse_phase=lambda lam, t1, t2: np.exp(1j * np.pi * lam * (lam + 2 * t2))
         * np.exp(-2j * np.pi * t1 * t2),

@@ -188,7 +188,7 @@ def test_gamma_family_node_counts(monkeypatch):
     # deterministic work counts of the folded, graded panel table at t = 0.7:
     # 432 grid and 189 adaptive nodes (912 and 399 with every panel capped at
     # max_panel; over the whole contour, ungraded at max_panel 0.5: 2,880 and 1,260)
-    assert contour_nodes(axb._GAMMA.contour(0.7), 2, axb._GAMMA.max_panel)[0].size <= 500
+    assert contour_nodes(axb._GAMMA.contour(0.7), 2, axb._MAX_PANEL)[0].size <= 500
     nodes, seen = [], []
     quad = axb.integrate_contour
 

@@ -111,7 +111,7 @@ def test_point_kernels_are_the_transform_integrands(family, kind, level):
     def both_halves(s):
         # the centered variable s/2 + v and s/2 - v over the nodes v of the
         # half contour, each with the node's quadrature weight
-        v, w = contour_nodes(kernel.contour(s), level=level, max_panel=kernel.max_panel)
+        v, w = contour_nodes(kernel.contour(s), level=level, max_panel=axb._MAX_PANEL)
         return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([w, w])
 
     if kind == "floor":
@@ -171,20 +171,57 @@ def test_q_forward_grid_holds_at_small_t(t):
     assert np.max(np.abs(l1 - l2)) <= 1e-10
 
 
-@pytest.mark.parametrize("t", [0.2, 0.5, 1.4])
+DOUBLED_F = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3j * t1)
+DOUBLED_LAMS = 4.5 * np.polynomial.legendre.leggauss(48)[0]
+
+
+@pytest.mark.parametrize("t", [0.2, 0.5, 1.0, 1.4, 2.5, 4.0])
 def test_q_forward_grid_holds_on_the_doubled_panels(t):
-    f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3j * t1)
-    lams = 4.5 * np.polynomial.legendre.leggauss(48)[0]
-    l4 = qt.q_forward_grid(f, lams, t, P08, level=4)
-    for level in (1, 2):
-        assert np.max(np.abs(qt.q_forward_grid(f, lams, t, P08, level=level) - l4)) <= 1e-13
+    # from |t| = 1 on the detours at +-t/2 are at least 0.25 wide, and the
+    # runs from them double out to T; pole spacings 0.5, 0.8 and 0.625
+    for p in (from_b(0.5), P08, from_b(1.6)):
+        l4 = qt.q_forward_grid(DOUBLED_F, DOUBLED_LAMS, t, p, level=4)
+        for level in (1, 2):
+            l = qt.q_forward_grid(DOUBLED_F, DOUBLED_LAMS, t, p, level=level)
+            assert np.max(np.abs(l - l4)) <= 1e-13, (p.b, level)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.5, 4.0])
+def test_apply_q_forward_holds_on_the_doubled_panels(t):
+    # the adaptive rule starts from the same graded level-0 panels
+    for p in (from_b(0.5), P08, from_b(1.6)):
+        l4 = qt.q_forward_grid(DOUBLED_F, DOUBLED_LAMS, t, p, level=4)
+        for i in (0, 10, 24, 40):
+            v = qt.apply_q_forward(DOUBLED_F, DOUBLED_LAMS[i], t, p, tol=1e-10)
+            assert abs(v - l4[i]) <= 1e-12, (p.b, DOUBLED_LAMS[i])
 
 
 def test_gb_family_grid_node_count():
     # the half contour at the benchmark's usual t, its runs doubling out to
-    # T and back to v = 0 (624 with every panel capped at max_panel)
+    # T and back to v = 0 (624 with every panel capped at 0.25); at t = 1.4
+    # the detours are 0.35 wide, and the ends are still graded (168 nodes,
+    # 576 under a cap of 0.25)
     kernel = qt._gb_kernel(P08, 1e-8)
-    assert contour_nodes(kernel.contour(0.5), 1, kernel.max_panel)[0].size == 216
+    assert contour_nodes(kernel.contour(0.5), 1, axb._MAX_PANEL)[0].size == 216
+    assert contour_nodes(kernel.contour(1.4), 1, axb._MAX_PANEL)[0].size <= 216
+
+
+@pytest.mark.parametrize("t", [1.0, 1.4, 2.5])
+def test_gb_family_node_counts_past_t_1(t, monkeypatch):
+    # detour radius min(0.35, t/4) >= 0.25: under the shared panel cap the
+    # ends are still graded, so 168, 147 and 168 adaptive nodes (504 with
+    # the ends ungraded under a cap of 0.25)
+    nodes = []
+    quad = axb.integrate_contour
+
+    def counted(*args, **kwargs):
+        res = quad(*args, **kwargs)
+        nodes.append(res.n_evals)
+        return res
+
+    monkeypatch.setattr(axb, "integrate_contour", counted)
+    qt.apply_q_forward(GAUSS, 0.4, t, P08)
+    assert nodes[0] <= 210
 
 
 @pytest.mark.parametrize("family", ["gamma", "gb"])
