@@ -35,8 +35,10 @@ interpreter, with the sha256 of each side's report and whether the two
 reports are byte-identical (``same_report``).  Last, each checkout counts
 the integrand nodes of one call of each adaptive contour user in NODES_CHILD
 (deterministic): ``axb.intertwiner_forward`` and ``qtransform.apply_q_forward``
-at each t in NODE_TS, ``axb.act_mellin``, ``gammafn.hyp2f1_contour`` and
-``gammafn.binomial_mellin_residual``; and its lines per ``src/qplane`` module
+at each t in NODE_TS, ``axb.act_mellin``, ``gammafn.hyp2f1_contour``,
+``gammafn.binomial_mellin_residual``, ``qdilog.tau_beta_residual``,
+``qdilog.fourier_gb_residual``, ``qdilog.fb_hypergeometric`` and
+``qdilog.veta_integral``; and its lines per ``src/qplane`` module
 (``src_lines``), so the net-lines figure comes from the same file as the
 timings.  A full run takes about 50 minutes.
 """
@@ -160,17 +162,20 @@ for f, lam, t in ops:
 print(json.dumps(statistics.median(times)))
 """
 # One child of the node count: integrand nodes of the adaptive contour users, per
-# call, counted through the integrand that axb and gammafn hand to integrate_contour:
+# call, counted through the integrand handed to integrate_contour at each of its
+# bindings (axb, gammafn, qdilog, and contours' own, which integrate_line calls):
 # intertwiner_forward (lam = 0.4) and apply_q_forward (b = 0.8, lam = 0.4) at each t
 # in NODE_TS, act_mellin with and without a raised line, hyp2f1_contour and
-# binomial_mellin_residual at the arguments of verify's and the tests' cases.
+# binomial_mellin_residual at the arguments of verify's and the tests' cases, and
+# tau_beta_residual, fourier_gb_residual, fb_hypergeometric and veta_integral at
+# the arguments of verify's records.
 NODE_TS = (0.2, 0.3, 0.5, 1.0, 1.4, 2.5)
 NODES_CHILD = """
 import json, sys
 import numpy as np
-from qplane import axb, gammafn, qtransform
+from qplane import axb, contours, gammafn, qdilog, qtransform
 from qplane.gammafn import gamma
-from qplane.modular import from_b
+from qplane.modular import from_b, from_b2, from_r
 count = [0]
 quad = axb.integrate_contour
 def counted(f, *args, **kwargs):
@@ -178,7 +183,8 @@ def counted(f, *args, **kwargs):
         count[0] += np.size(z)
         return f(z)
     return quad(g, *args, **kwargs)
-axb.integrate_contour = gammafn.integrate_contour = counted
+axb.integrate_contour = gammafn.integrate_contour = qdilog.integrate_contour = counted
+contours.integrate_contour = counted
 def nodes(call, *args, **kwargs):
     count[0] = 0
     call(*args, **kwargs)
@@ -186,6 +192,8 @@ def nodes(call, *args, **kwargs):
 f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3 * t1)
 F = lambda z: gamma(1 + 1j * np.asarray(z, dtype=complex))
 g = axb.GroupElement(1.5, 0.7)
+p8, p75, pc, pr = from_b(0.8), from_b(0.75), from_b2(0.1 + 0.4j), from_r(1e-3)
+Q, Qc = p8.Q.real, pc.Q
 ts = json.loads(sys.argv[1])
 print(json.dumps({
     "intertwiner_forward": {t: nodes(axb.intertwiner_forward, f, 0.4, t) for t in ts},
@@ -198,6 +206,19 @@ print(json.dumps({
                         (0.2 + 0.1j, 1.1, 2, -0.3 + 0.2j))},
     "binomial_mellin_residual": {repr(a): nodes(gammafn.binomial_mellin_residual, *a)
                                  for a in ((0.5, 1, 1), (2, 1, -2), (1, 2, 0.3))},
+    "tau_beta_residual": {
+        "b=0.8, (Q/4,Q/4)": nodes(qdilog.tau_beta_residual, Q / 4, Q / 4, p8),
+        "b=0.8, (Q/3,Q/6)": nodes(qdilog.tau_beta_residual, Q / 3, Q / 6, p8),
+        "b2=0.1+0.4i, (Q/4+0.1i,Q/4)": nodes(qdilog.tau_beta_residual, Qc / 4 + 0.1j, Qc / 4, pc)},
+    "fourier_gb_residual": {
+        **{f"{w}, b=0.8, r={r}": nodes(qdilog.fourier_gb_residual, w, r, p8)
+           for w in (1, 2, 3, 4) for r in (-0.2, 0.0, 0.3)},
+        "3, b=0.75, r=-0.2": nodes(qdilog.fourier_gb_residual, 3, -0.2, p75)},
+    "fb_hypergeometric": {
+        "r=1e-3, b(0.5, 1.3, 2.1), -0.4": nodes(qdilog.fb_hypergeometric, pr.b * 0.5, pr.b * 1.3,
+                                                pr.b * 2.1, -0.4, pr),
+        "b=0.8, (Q/4, Q/3, Q/4), -0.5": nodes(qdilog.fb_hypergeometric, Q / 4, Q / 3, Q / 4, -0.5, p8)},
+    "veta_integral": {"b=0.8, z=0.4": nodes(qdilog.veta_integral, 0.4, p8)},
 }))
 """
 

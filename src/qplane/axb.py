@@ -31,7 +31,6 @@ from .qdilog import QDValue
 TwoVarFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _TRUNCATION = 14.0  # half-length of the intertwiners' separating contour
-_MAX_PANEL = 1.0  # panel cap of both kernel families' separating contours
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def classical_kernel(kind: str, lam: float, t1: float, t2: float) -> complex:
 
     with t = t1 + t2; ceil is the complex conjugate of floor for real input.
     """
-    return _GAMMA.point(kind, lam, t1, t2).value
+    return GAMMA.point(kind, lam, t1, t2).value
 
 
 def _separating_contour(s: complex, truncation: float):
@@ -203,7 +202,7 @@ def _separating_contour(s: complex, truncation: float):
                    start=0.0)
 
 
-class _Kernel(NamedTuple):
+class KernelFamily(NamedTuple):
     """A kernel family K of the separating-contour transforms.  In the
     centered variable whose pole ladders head at 0 (contour above) and s
     (below) -- u = t2 + lam with s = t forward, mu = lam - t1 with s = -t
@@ -211,7 +210,10 @@ class _Kernel(NamedTuple):
     norm(s) = const K(-i s).  In the midpoint variable v = u - s/2 it is
     K(i v - i s/2) K(-i v - i s/2) / norm(s), even in v, so each transform
     integrates over the half C+ of its point-symmetric contour (``contour``)
-    with the data at both u = s/2 + v and s/2 - v."""
+    with the data at both u = s/2 + v and s/2 - v.  For real lam and t the
+    path takes the data's arguments within |Im| <= 0.35 (the largest detour
+    radius), where the data must be analytic (entire data always is): a
+    data pole there is crossed without a signal."""
 
     pair: Callable  # (x, y) -> K(i x) K(-i y), vectorized
     at: Callable  # z -> K(z) at one point, as a QDValue
@@ -254,68 +256,67 @@ class _Kernel(NamedTuple):
             return val * self.inverse_phase(lam, t1, t2)
         return val
 
+    def forward(self, f: TwoVarFn, lam, t: complex, tol: float) -> tuple[complex, float]:
+        """``int weight phase f(t - u + lam, u - lam)`` over the contour of t at
+        one lam, adaptive to tol: (value, error estimate).  f must be analytic
+        where the path takes it (see the class)."""
+        return self._adaptive(lambda u, g: self._forward_term(f, lam, t, u, g), t, tol)
 
-def _adaptive(kernel: _Kernel, term: Callable, s: complex, tol):
-    """``int_C term(x, weight) dv`` over the contour of s, x = s/2 + v the
-    centered variable, by adaptive quadrature on its half C+: each round
-    evaluates the weight at v and term once at x = s/2 + v and s/2 - v.
-    Returns the value and the quadrature's error estimate."""
-    weight = kernel.weight(s)
+    def forward_grid(self, f: TwoVarFn, lams, t: complex, level: int) -> np.ndarray:
+        """forward on an array of lam, on the nodes of ``level``: the weight
+        evaluated once and contracted one lam at a time."""
+        u, g = self._grid(t, level)
+        return np.array([np.sum(self._forward_term(f, lam, t, u, g))
+                         for lam in np.asarray(lams, dtype=complex)])
 
-    def folded(v):
-        g = weight(v)
-        h = term(np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g]))
-        return h[:v.size] + h[v.size:]
+    def inverse(self, F: TwoVarFn, t1, t2, tol: float) -> tuple[complex, float]:
+        """``int weight phase F(mu + t1, t)`` over the contour of -t, t = t1 + t2
+        (a scalar in F), adaptive to tol: (value, error estimate).  F must be
+        analytic where the path takes it (see the class)."""
+        return self._adaptive(lambda mu, g: self._inverse_term(F, t1, t2, mu, g), -(t1 + t2), tol)
 
-    res = integrate_contour(folded, kernel.contour(s), tol=tol, max_panel=_MAX_PANEL)
-    return complex(res.value), res.err_estimate
+    def inverse_grid(self, F: TwoVarFn, t1, t2, level: int) -> complex:
+        """inverse on the nodes of ``level``."""
+        return complex(np.sum(self._inverse_term(F, t1, t2, *self._grid(-(t1 + t2), level))))
 
+    def roundtrip(self, f: TwoVarFn, t1, t2) -> complex:
+        """The level-1 inverse_grid over the level-1 forward_grid: f(t1, t2) up to quadrature error."""
+        return self.inverse_grid(lambda lam, t: self.forward_grid(f, lam, t, 1), t1, t2, 1)
 
-def _grid(kernel: _Kernel, s: complex, level: int):
-    """The centered variable on the nodes of ``level`` of both halves of the
-    contour of s, and the weight times the quadrature weight there."""
-    v, wq = contour_nodes(kernel.contour(s), level=level, max_panel=_MAX_PANEL)
-    g = kernel.weight(s)(v) * wq
-    return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g])
-
-
-def _forward(kernel: _Kernel, f: TwoVarFn, lam, t: complex, tol=None, level: int | None = None):
-    """``int weight phase f(t - u + lam, u - lam)`` over the contour of t:
-    adaptive at one lam for ``level=None``, returning (value, error
-    estimate); else on the nodes of ``level`` for an array of lam, the weight
-    evaluated once and contracted one lam at a time."""
-
-    def term(u, g, lam):
-        if kernel.forward_phase:
-            g = g * kernel.forward_phase(lam, u, t)
+    def _forward_term(self, f: TwoVarFn, lam, t, u, g):
+        """g phase f(t - u + lam, u - lam), g the weight at u."""
+        if self.forward_phase:
+            g = g * self.forward_phase(lam, u, t)
         return g * f(t - u + lam, u - lam)
 
-    if level is None:
-        return _adaptive(kernel, lambda u, g: term(u, g, lam), t, tol)
-    u, g = _grid(kernel, t, level)
-    return np.array([np.sum(term(u, g, l)) for l in np.asarray(lam, dtype=complex)])
-
-
-def _inverse(kernel: _Kernel, F: TwoVarFn, t1, t2, tol=None, level: int | None = None):
-    """``int weight phase F(mu + t1, t)`` over the contour of -t, t = t1 + t2
-    (a scalar in F): adaptive for ``level=None``, returning (value, error
-    estimate); else the value on the nodes of ``level``."""
-    t = t1 + t2
-
-    def term(mu, g):
+    def _inverse_term(self, F: TwoVarFn, t1, t2, mu, g):
+        """g phase F(mu + t1, t1 + t2), g the weight at mu."""
         lam = mu + t1
-        if kernel.inverse_phase:
-            g = g * kernel.inverse_phase(lam, t1, t2)
-        return g * F(lam, t)
+        if self.inverse_phase:
+            g = g * self.inverse_phase(lam, t1, t2)
+        return g * F(lam, t1 + t2)
 
-    if level is None:
-        return _adaptive(kernel, term, -t, tol)
-    return complex(np.sum(term(*_grid(kernel, -t, level))))
+    def _adaptive(self, term: Callable, s: complex, tol: float) -> tuple[complex, float]:
+        """``int_C term(x, weight) dv`` over the contour of s, x = s/2 + v the
+        centered variable, by adaptive quadrature on its half C+: each round
+        evaluates the weight at v and term once at x = s/2 + v and s/2 - v.
+        Returns the value and the quadrature's error estimate."""
+        weight = self.weight(s)
 
+        def folded(v):
+            g = weight(v)
+            h = term(np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g]))
+            return h[:v.size] + h[v.size:]
 
-def _roundtrip(kernel: _Kernel, f: TwoVarFn, t1, t2) -> complex:
-    """inverse(forward(f)) at (t1, t2): the level-1 inverse over the level-1 forward grid."""
-    return _inverse(kernel, lambda lam, t: _forward(kernel, f, lam, t, level=1), t1, t2, level=1)
+        res = integrate_contour(folded, self.contour(s), tol=tol)
+        return complex(res.value), res.err_estimate
+
+    def _grid(self, s: complex, level: int):
+        """The centered variable on the nodes of ``level`` of both halves of the
+        contour of s, and the weight times the quadrature weight there."""
+        v, wq = contour_nodes(self.contour(s), level=level)
+        g = self.weight(s)(v) * wq
+        return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g])
 
 
 def _gamma_pair(x, y):
@@ -325,39 +326,33 @@ def _gamma_pair(x, y):
     return (g[:x.size] * g[x.size:]).reshape(x.shape)
 
 
-_GAMMA = _Kernel(_gamma_pair,
-                 lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
-                 lambda s: _separating_contour(s, _TRUNCATION))
+GAMMA = KernelFamily(_gamma_pair,
+                     lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
+                     lambda s: _separating_contour(s, _TRUNCATION))
 
 
 def intertwiner_forward(f: TwoVarFn, lam: complex, t: complex, tol: float = 1e-9) -> complex:
     """Multiplicity-space component
     ``F(lam,t) = (1/2pi) int_C Gamma(i t2 - i t + i lam) Gamma(-i t2 - i lam)/Gamma(-i t)
     f(t-t2,t2) dt2`` with C above the poles descending from t2 = -lam and
-    below those ascending from t2 = t - lam.
-
-    Evaluated in the centered variable u = t2 + lam, which makes the kernel's
-    pole structure independent of lam (heads at u = 0 and u = t), folded
-    about the midpoint u = t/2.
+    below those ascending from t2 = t - lam: ``GAMMA.forward``'s value, in
+    the centered variable u = t2 + lam (kernel pole heads at u = 0 and u = t).
+    For real lam and t, f must be analytic within |Im| <= 0.35 in both arguments.
     """
-    return _forward(_GAMMA, f, lam, t, tol)[0]
+    return GAMMA.forward(f, lam, t, tol)[0]
 
 
 def intertwiner_inverse(F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9) -> complex:
     """Inverse transform
     ``f(t1,t2) = (1/2pi) int_{C'} Gamma(-i lam + i t1) Gamma(i lam + i t2)/Gamma(i t)
     F(lam, t1+t2) d lam`` with C' above the poles descending from lam = t1 and
-    below those ascending from lam = -t2 (centered at mu = lam - t1).  F takes
-    an array of lam and the scalar t."""
-    return _inverse(_GAMMA, F, t1, t2, tol)[0]
+    below those ascending from lam = -t2 (centered at mu = lam - t1):
+    ``GAMMA.inverse``'s value.  F takes an array of lam and the scalar t;
+    for real t1 and t2 it must be analytic within |Im lam| <= 0.35."""
+    return GAMMA.inverse(F, t1, t2, tol)[0]
 
 
 def intertwiner_forward_grid(f: TwoVarFn, lams: np.ndarray, t: complex, level: int = 2) -> np.ndarray:
-    """forward transform on an array of lam at fixed t, on the fixed nodes of
-    ``level`` with the gamma factors evaluated once."""
-    return _forward(_GAMMA, f, lams, t, level=level)
-
-
-def intertwiner_roundtrip(f: TwoVarFn, t1: complex, t2: complex) -> complex:
-    """_roundtrip of the gamma family; equals f(t1, t2) up to quadrature error."""
-    return _roundtrip(_GAMMA, f, t1, t2)
+    """``GAMMA.forward_grid``: the forward transform on an array of lam at
+    fixed t, on the fixed nodes of ``level`` with the gamma factors evaluated once."""
+    return GAMMA.forward_grid(f, lams, t, level)

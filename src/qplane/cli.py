@@ -167,7 +167,7 @@ def _cmd_eval(args) -> int:
     err = 0.0
     if fn not in _ARITY:
         raise DomainError(f"unknown function {fn!r}")
-    n_vals = 4 if fn == "qkernel" and args.kind in qtransform._POSITION_KINDS else _ARITY[fn]
+    n_vals = 4 if fn == "qkernel" and args.kind in qtransform.POSITION_KINDS else _ARITY[fn]
     if len(vals) != n_vals:
         raise _UsageError(f"{fn} takes {n_vals} value(s), got {len(vals)}")
     needs_param = {"gb", "sb", "gb_small", "veta", "ruijsenaars_g", "fb",
@@ -325,16 +325,16 @@ def _cmd_transform(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"transform input schema violation: grid points need numeric "
                           f"{' and '.join(keys)} ({exc!r})") from exc
-    kernel = axb._GAMMA if which == "classical" else qtransform._gb_kernel(p, tol)
+    family = axb.GAMMA if which == "classical" else qtransform.gb_family(p, tol)
     values = []
     for x, y in points:
         rec = {keys[0]: x, keys[1]: y}
         if args.direction == "roundtrip":  # forward-then-inverse against the input data
-            val = axb._roundtrip(kernel, f, x, y)
+            val = family.roundtrip(f, x, y)
             rec["roundtrip_error"] = float(abs(val - complex(f(np.asarray(x), np.asarray(y)))))
-        else:  # the adaptive primitives, which also return the quadrature's error estimate
-            primitive = axb._forward if args.direction == "forward" else axb._inverse
-            val, rec["err"] = primitive(kernel, f, x, y, tol)
+        else:  # the adaptive transforms, which also return the quadrature's error estimate
+            transform = family.forward if args.direction == "forward" else family.inverse
+            val, rec["err"] = transform(f, x, y, tol)
         rec["value"] = _c2j(val)
         values.append(rec)
     payload = {"which": which, "direction": args.direction, "values": values}

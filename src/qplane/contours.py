@@ -9,11 +9,11 @@ Integrands must be vectorized: ``f(z: ndarray) -> ndarray``.
 
 Both contour rules map their nodes onto one panel table, ``_base_panels``:
 on a segment, panels graded geometrically toward the poles of the detours it
-meets and toward the poles it clears by less than ``max_panel`` (the line is
-cut at their feet), two on an arc, and each of them bisected at every fixed
-level.  A segment graded at one end only doubles its panels out to the
-other end; ``max_panel`` caps the panels only on segments graded at both
-ends (a pinch) or at neither.
+meets and toward the poles it clears by less than the panel cap
+``_MAX_PANEL`` (the line is cut at their feet), two on an arc, and each of
+them bisected at every fixed level.  A segment graded at one end only
+doubles its panels out to the other end; the cap bounds the panels only on
+segments graded at both ends (a pinch) or at neither.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
@@ -148,13 +148,14 @@ def _gk21_rule() -> tuple[np.ndarray, np.ndarray]:
 _GK21 = _gk21_rule()
 _GL12 = _frozen(*np.polynomial.legendre.leggauss(12))  # the rule of contour_nodes' panels
 _ROUNDING = 50 * np.finfo(float).eps  # QUADPACK's rounding floor, per unit of sum |w f|
+_MAX_PANEL = 1.0  # the panel cap of every contour rule
 
 
-def _pieces(contour: Contour, max_panel: float = 0.0) -> list[tuple]:
+def _pieces(contour: Contour) -> list[tuple]:
     """Decompose the path into ('seg', z0, z1, d0, d1) and ('arc', c, R, th0, th1)
     pieces.  d0 and d1 are the distances of a segment's ends to the poles its
     panels are graded toward (inf when there is none): the pole of the detour
-    the end meets, and the cleared poles nearer than max_panel to the line,
+    the end meets, and the cleared poles nearer than _MAX_PANEL to the line,
     at whose feet the line is cut."""
     c = contour.imag_shift
     T = contour.truncation
@@ -172,7 +173,7 @@ def _pieces(contour: Contour, max_panel: float = 0.0) -> list[tuple]:
     def foot(p: complex) -> float:
         return ((p - 1j * c) / d).real  # parameter of the pole's foot on the line
 
-    near = [p for p in contour.cleared if abs(p - line_point(foot(p))) < max_panel]
+    near = [p for p in contour.cleared if abs(p - line_point(foot(p))) < _MAX_PANEL]
     cuts = sorted(foot(p) for p in near)
 
     def dist(z: complex, pole: complex | None) -> float:
@@ -231,10 +232,10 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [k * step + lo for k in range(n)] + [hi]
 
 
-def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> list[float]:
+def _segment_edges(length: float, d0: float, d1: float) -> list[float]:
     """Base panel edges of a segment, as fractions s in [0, 1] of its length.
 
-    An end at distance d < max_panel from a pole gets edges at d (2^k - 1),
+    An end at distance d < _MAX_PANEL from a pole gets edges at d (2^k - 1),
     k = 1, 2, ...: panels of width d, 2d, 4d, ..., each its own width from
     the pole.  When only one end is graded, its run doubles out to the far
     end: it stops where the next edge would leave the segment, and the last
@@ -242,11 +243,11 @@ def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> lis
     would be narrower than half of that one.  So a panel x from the end is
     at most 1.5 (d + x) wide: 1.5 times its distance from a pole on the
     line.  When both ends are graded (a pinch), each run stays in its half
-    and under max_panel, with no edge within rounding of the half's end, so
+    and under _MAX_PANEL, with no edge within rounding of the half's end, so
     that a run which would fill it exactly, as in a pinch whose detours are
     a quarter of the gap, leaves no sliver; the span between the two runs,
-    and a segment with no graded end, get ceil(span / max_panel) equal
-    panels.  So max_panel caps the panels only on pinched and ungraded
+    and a segment with no graded end, get ceil(span / _MAX_PANEL) equal
+    panels.  So the cap bounds the panels only on pinched and ungraded
     segments; in a pinch the span is at most twice as wide as it is far
     from the poles.
     """
@@ -256,20 +257,20 @@ def _segment_edges(length: float, d0: float, d1: float, max_panel: float) -> lis
             k += 1
         return [0.0] + [dist * (2**j - 1) for j in range(1, k + 1)]
 
-    if (d0 < max_panel) != (d1 < max_panel):
+    if (d0 < _MAX_PANEL) != (d1 < _MAX_PANEL):
         edges = run(min(d0, d1), math.inf, length)
         if len(edges) > 1 and length - edges[-1] < 0.5 * (edges[-1] - edges[-2]):
             edges.pop()  # a thin remainder joins the panel before it
         edges = [e / length for e in edges] + [1.0]
         return edges if d0 < d1 else [1.0 - e for e in edges[::-1]]
     room = 0.5 * length * (1 - 1e-9)
-    head = [e / length for e in run(d0, max_panel, room)]
-    tail = [1.0 - e / length for e in run(d1, max_panel, room)][::-1]
-    n = max(1, math.ceil((tail[0] - head[-1]) * length / max_panel))
+    head = [e / length for e in run(d0, _MAX_PANEL, room)]
+    tail = [1.0 - e / length for e in run(d1, _MAX_PANEL, room)][::-1]
+    n = max(1, math.ceil((tail[0] - head[-1]) * length / _MAX_PANEL))
     return head[:-1] + _linspace(head[-1], tail[0], n)[:-1] + tail
 
 
-def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple[np.ndarray, ...]:
+def _base_panels(pieces: list[tuple], level: int = 0) -> tuple[np.ndarray, ...]:
     """The panel table of the pieces, which every contour rule maps its nodes onto.
 
     The level-0 panels are graded toward the poles of a segment's ends
@@ -282,7 +283,7 @@ def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple
     a, b, arc, lo, hi = [], [], [], [], []
     for p in pieces:
         if p[0] == "seg":
-            e, step = _segment_edges(abs(p[2] - p[1]), p[3], p[4], max_panel), p[2] - p[1]
+            e, step = _segment_edges(abs(p[2] - p[1]), p[3], p[4]), p[2] - p[1]
         else:
             e, step = _linspace(p[3], p[4], 2), p[2]
         n = len(e) - 1
@@ -302,9 +303,7 @@ def _base_panels(pieces: list[tuple], max_panel: float, level: int = 0) -> tuple
     return a, b, arc, 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def contour_nodes(
-    contour: Contour, level: int = 0, max_panel: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
+def contour_nodes(contour: Contour, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes and weights for the contour at a fixed refinement level:
     the 12-point Gauss-Legendre rule on every panel of ``_base_panels``.
 
@@ -312,7 +311,7 @@ def contour_nodes(
     routines that batch integrand evaluation over tensor grids.
     """
     x, w = _GL12
-    a, b, arc, mid, half = _base_panels(_pieces(contour, max_panel), max_panel, level)
+    a, b, arc, mid, half = _base_panels(_pieces(contour), level)
     s = mid[:, None] + half[:, None] * x
     z = a[:, None] + b[:, None] * s
     dz = np.repeat(b[:, None], x.size, axis=1)
@@ -322,13 +321,7 @@ def contour_nodes(
     return z.ravel(), (dz * half[:, None] * w).ravel()
 
 
-def integrate_contour(
-    f: ComplexFn,
-    contour: Contour,
-    tol: float = 1e-10,
-    max_panel: float = 0.5,
-    max_levels: int = 9,
-) -> QuadResult:
+def integrate_contour(f: ComplexFn, contour: Contour, tol: float = 1e-10, max_levels: int = 9) -> QuadResult:
     """Integrate ``f`` along the contour by locally adaptive Gauss-Kronrod panels.
 
     The base panels are the level-0 ``_base_panels``, those of ``contour_nodes``
@@ -351,7 +344,7 @@ def integrate_contour(
     if not tol > 0:
         raise ValueError("tol must be positive")
     x, w = _GK21
-    a, b, arc, mid, half = _base_panels(_pieces(contour, max_panel), max_panel)
+    a, b, arc, mid, half = _base_panels(_pieces(contour))
     bh = np.abs(b * half)  # each panel's share of the contour's half-length
     dens = tol / float(np.sum(bh))  # tol per unit of contour half-length
     value, err, left, n_evals = 0j, 0.0, np.inf, 0

@@ -26,7 +26,7 @@ from .errors import DomainError
 from .gammafn import gamma
 from .modular import ModularParam, from_r
 from .qdilog import QDValue, gb, gb_many
-from .qtransform import _gb_kernel
+from .qtransform import gb_family
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,6 @@ class NormalOrderedMonomial:
     a_exp: complex
     b_exp: complex
     coeff: complex = 1.0 + 0j
-
-    def mul(self, other: "NormalOrderedMonomial", p: ModularParam) -> "NormalOrderedMonomial":
-        """Reorder B^{it} A^{is'} = q^{2 t s'} A^{is'} B^{it} with the 1/b
-        exponent convention, so the phase is q^{2 b_exp a_exp' / b^2}."""
-        phase = p.q ** (2.0 * self.b_exp * other.a_exp / p.b2)
-        return NormalOrderedMonomial(
-            self.a_exp + other.a_exp,
-            self.b_exp + other.b_exp,
-            self.coeff * other.coeff * phase,
-        )
 
 
 def _scaled_coaction_kernel(x, z, p: ModularParam, tol: float = 1e-10):
@@ -88,7 +78,7 @@ def coproduct_kernel(x: float, w: float, z: float, p: ModularParam,
         if abs(u - v) < 1e-9:
             raise DomainError("coproduct kernel needs pairwise distinct arguments")
     s = p.b * (z - x)
-    return complex(_gb_kernel(p, tol).weight(s)(p.b * (z - w) - s / 2)[0])
+    return complex(gb_family(p, tol).weight(s)(p.b * (z - w) - s / 2)[0])
 
 
 def corep_axiom_residual(x: float, w: float, z: float, p: ModularParam,

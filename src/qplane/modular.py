@@ -51,10 +51,6 @@ class ModularParam:
         return np.exp(1j * np.pi * self.b2)
 
     @property
-    def qtilde(self) -> complex:
-        return np.exp(-1j * np.pi / self.b2)
-
-    @property
     def zeta_b(self) -> complex:
         return np.exp(1j * np.pi / 4 + 1j * np.pi / 12 * (self.b2 + 1.0 / self.b2))
 

@@ -340,13 +340,6 @@ def gb(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
     return QDValue(v, backend, err * abs(v))
 
 
-def gb_product(x, p: ModularParam, tol: float = 1e-10) -> QDValue:
-    """Infinite-product evaluation (requires Im b^2 > 0)."""
-    if p.regime != "product":
-        raise DomainError("gb_product requires the product regime (Im b^2 > 0)")
-    return gb(x, p, tol)
-
-
 def ruijsenaars_g(z, p: ModularParam, tol: float = 1e-10) -> QDValue:
     """The hyperbolic-gamma-type integral G(z) = exp(i int_0^inf ...dy) itself.
 
@@ -649,7 +642,7 @@ def _fb_hypergeometric(alpha, beta, gamma_, z, p: ModularParam, tol: float) -> t
             / gb_many(c + 1j * tau, p, tol)
         )
 
-    res = integrate_contour(f, cont, tol=tol, max_panel=min(0.5, float(T) / 6.0))
+    res = integrate_contour(f, cont, tol=tol)
     pref = gb(c, p, tol).value / (gb(a, p, tol).value * gb(bb, p, tol).value)
     return complex(pref * res.value), abs(pref) * res.err_estimate
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axb import _forward, _inverse, _Kernel, _roundtrip, _separating_contour, classical_kernel
+from .axb import KernelFamily, _separating_contour, classical_kernel
 from .contours import path_clear_of
 from .errors import DomainError
 from .modular import ModularParam, from_r
@@ -40,7 +40,7 @@ _TRUNCATION = 6.0  # half-length of the quantum transforms' separating contour
 # kernels
 
 
-def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
+def gb_family(p: ModularParam, tol: float) -> KernelFamily:
     """The G_b kernel family at p, G_b evaluated to tol: its points are the
     Fourier-picture kernels F_floor_star/F_ceil_star.  The separating contour
     must clear the pole lattice by half its spacing."""
@@ -54,7 +54,7 @@ def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
             raise DomainError("contour too close to the pole lattice (increase spacing)")
         return cont
 
-    return _Kernel(
+    return KernelFamily(
         lambda x, y: gb_many(1j * x, p, tol) * gb_many(-1j * y, p, tol),
         lambda z: gb(z, p, tol), 1.0, contour,
         forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
@@ -63,7 +63,7 @@ def _gb_kernel(p: ModularParam, tol: float) -> _Kernel:
     )
 
 
-_POSITION_KINDS = ("floor", "ceil", "floor_star", "ceil_star")
+POSITION_KINDS = ("floor", "ceil", "floor_star", "ceil_star")
 _FOURIER_KINDS = {"F_floor_star": "floor", "F_ceil_star": "ceil"}  # the G_b family's point kinds
 
 
@@ -88,8 +88,8 @@ def q_kernel(kind: str, args, p: ModularParam, tol: float = 1e-10) -> QDValue:
                      e^{pi i lam(lam+2 t2)} e^{-2 pi i t1 t2}
     """
     if kind in _FOURIER_KINDS:
-        return _gb_kernel(p, tol).point(_FOURIER_KINDS[kind], *(complex(v) for v in args))
-    if kind not in _POSITION_KINDS:
+        return gb_family(p, tol).point(_FOURIER_KINDS[kind], *(complex(v) for v in args))
+    if kind not in POSITION_KINDS:
         raise DomainError(f"unknown kernel kind {kind!r}")
     alpha, x, x1, x2 = (complex(v) for v in args)
     if kind.startswith("floor"):
@@ -117,36 +117,25 @@ def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1
     with C above the pole ladder descending from t2 = -lam and below the one
     ascending from t2 = t - lam.  Internally centered at u = t2 + lam, where
     the G_b factors depend only on u and t (heads at u = 0 and u = t), and
-    folded about the midpoint u = t/2; f must be entire with rapid decay on
-    horizontal lines (class W), vectorized.
+    folded about the midpoint u = t/2: ``gb_family(p, tol).forward``'s value.
+    f must have rapid decay on horizontal lines (class W), be vectorized, and,
+    for real lam and t, be analytic within |Im| <= 0.35 of the real axis in
+    both arguments (entire data always is).
     """
-    return _forward(_gb_kernel(p, tol), f, lam, t, tol)[0]
-
-
-def apply_q_inverse(phi, t1: complex, t2: complex, p: ModularParam, tol: float = 1e-8) -> complex:
-    """Inverse quantum transform
-
-    ``f(t1,t2) = int_{C'} G_b(-i lam + i t1) G_b(i lam + i t2)/G_b(i t)
-      e^{pi i lam(lam + 2 t2)} e^{-2 pi i t1 t2} phi(lam, t1+t2) d lam``
-
-    with C' above the ladder descending from lam = t1 and below the one
-    ascending from lam = -t2 (centered at mu = lam - t1).  phi must accept
-    complex lam arrays and the scalar t (it is analytic; the forward transform
-    provides this).
-    """
-    return _inverse(_gb_kernel(p, tol), phi, t1, t2, tol)[0]
+    return gb_family(p, tol).forward(f, lam, t, tol)[0]
 
 
 def q_roundtrip(f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9) -> complex:
-    """``axb._roundtrip`` of the G_b family at p, G_b evaluated to tol."""
-    return _roundtrip(_gb_kernel(p, tol), f, t1, t2)
+    """``gb_family(p, tol).roundtrip``: the G_b family's round trip, G_b evaluated to tol."""
+    return gb_family(p, tol).roundtrip(f, t1, t2)
 
 
 def q_forward_grid(
     f, lams: np.ndarray, t: complex, p: ModularParam, tol: float = 1e-9, level: int = 1,
 ) -> np.ndarray:
-    """Forward transform on an array of lam at fixed t (one G_b sweep)."""
-    return _forward(_gb_kernel(p, tol), f, lams, t, level=level)
+    """``gb_family(p, tol).forward_grid``: the forward transform on an array
+    of lam at fixed t (one G_b sweep)."""
+    return gb_family(p, tol).forward_grid(f, lams, t, level)
 
 
 # ---------------------------------------------------------------------------
@@ -166,5 +155,5 @@ def kernel_limit_residual(lam: float, t1: float, t2: float, r: float,
     """
     p = from_r(r)
     b = p.b
-    quantum = b * _gb_kernel(p, tol).point(variant, b * lam, b * t1, b * t2).value
+    quantum = b * gb_family(p, tol).point(variant, b * lam, b * t1, b * t2).value
     return float(abs(quantum - classical_kernel(variant, lam, t1, t2)))

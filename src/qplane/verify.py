@@ -227,7 +227,7 @@ def suite_classical_rep(seed: int = 0) -> list[dict]:
     # intertwiner round trip, norm preservation, equivariance
     fw = lambda t1, t2: np.exp(-t1**2 - t2**2)
     out.append(_roundtrip_rec("intertwiner round trip",
-                              lambda t1, t2: axb.intertwiner_roundtrip(fw, t1, t2), fw))
+                              lambda t1, t2: axb.GAMMA.roundtrip(fw, t1, t2), fw))
     out.append(_norm_box_rec("intertwiner norm preservation", axb.intertwiner_forward_grid, fw, 5.0))
     # equivariance: transform (R+ x R+)(g) = (1 x R+)(g) transform
     out.append(_rec("intertwiner equivariance", "g=(1.3,0.4)",

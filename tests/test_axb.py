@@ -132,7 +132,7 @@ def test_intertwiner_roundtrip():
     worst = 0.0
     for t1 in (0.3, 0.6, 0.9):
         for t2 in (0.4, 0.7, 1.0):
-            rt = axb.intertwiner_roundtrip(f, t1, t2)
+            rt = axb.GAMMA.roundtrip(f, t1, t2)
             worst = max(worst, abs(rt - f(t1, t2)))
     assert worst < 1e-4
 
@@ -142,6 +142,27 @@ def test_intertwiner_forward_matches_grid_path():
     v1 = axb.intertwiner_forward(f, 0.2, 0.5, tol=1e-10)
     v2 = axb.intertwiner_forward_grid(f, np.array([0.2]), 0.5, level=3)[0]
     assert abs(v1 - v2) < 1e-9
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (1.0, 0.7)])
+def test_gamma_forward_meets_barnes_first_lemma(alpha, beta):
+    # f = Gamma(alpha + i t1) Gamma(beta + i t2) has poles at Im t1 = alpha + n and
+    # Im t2 = beta + n, beyond the path's |Im| <= 0.35; Barnes' first lemma gives
+    # F(lam, t) = Gamma(alpha + i lam) Gamma(beta - i lam) Gamma(alpha + beta + i t) / Gamma(alpha + beta)
+    f = lambda t1, t2: gamma(alpha + 1j * np.asarray(t1)) * gamma(beta + 1j * np.asarray(t2))
+    lams = np.array([-0.4, 0.0, 0.5, 1.3])
+
+    def exact(lam, t):
+        return (gamma(alpha + 1j * lam) * gamma(beta - 1j * lam) * gamma(alpha + beta + 1j * t)
+                / gamma(alpha + beta))
+
+    for t in (0.05, 0.2, 0.7, 1.2, 2.5):
+        for lam in lams:
+            value, _ = axb.GAMMA.forward(f, lam, t, 1e-12)
+            assert abs(value - exact(lam, t)) <= 1e-13 * abs(exact(lam, t)), (lam, t)
+    grid = axb.GAMMA.forward_grid(f, lams, 0.7, 2)
+    ref = np.array([exact(lam, 0.7) for lam in lams])
+    assert np.max(np.abs(grid - ref) / np.abs(ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("t", [0.05, 1e-3])
@@ -156,7 +177,7 @@ def test_forward_grid_holds_at_small_t(t):
 
 def test_adaptive_forward_converges_at_small_t():
     f = lambda t1, t2: np.exp(-t1**2 - t2**2)
-    value, err = axb._forward(axb._GAMMA, f, 0.4, 1e-3, 1e-9)
+    value, err = axb.GAMMA.forward(f, 0.4, 1e-3, 1e-9)
     assert err <= 1e-9
     ref = axb.intertwiner_forward_grid(f, np.array([0.4]), 1e-3, level=4)[0]
     assert abs(value - ref) <= 1e-9
@@ -175,7 +196,7 @@ def test_forward_grid_holds_beside_cleared_poles(t):
 
 @pytest.mark.parametrize("t", [0.2, 0.7, 1.2, -0.7, 0.7 + 0.2j, 2 + 0.15j])
 def test_forward_grid_holds_on_the_doubled_panels(t):
-    # past max_panel the runs from the heads keep doubling to the end of the
+    # past the panel cap the runs from the heads keep doubling to the end of the
     # contour; the data's bump at lam up to 5 sits on those wide panels
     f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3j * t1)
     lams = 5 * np.polynomial.legendre.leggauss(48)[0]
@@ -187,8 +208,8 @@ def test_forward_grid_holds_on_the_doubled_panels(t):
 def test_gamma_family_node_counts(monkeypatch):
     # deterministic work counts of the folded, graded panel table at t = 0.7:
     # 432 grid and 189 adaptive nodes (912 and 399 with every panel capped at
-    # max_panel; over the whole contour, ungraded at max_panel 0.5: 2,880 and 1,260)
-    assert contour_nodes(axb._GAMMA.contour(0.7), 2, axb._MAX_PANEL)[0].size <= 500
+    # the panel cap; over the whole contour, ungraded under a cap of 0.5: 2,880 and 1,260)
+    assert contour_nodes(axb.GAMMA.contour(0.7), 2)[0].size <= 500
     nodes, seen = [], []
     quad = axb.integrate_contour
 
@@ -202,7 +223,7 @@ def test_gamma_family_node_counts(monkeypatch):
         return np.exp(-t1**2 - t2**2)
 
     monkeypatch.setattr(axb, "integrate_contour", counted)
-    axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)
+    axb.GAMMA.forward(f, 0.4, 0.7, 1e-9)
     assert nodes[0] <= 220
     assert sum(seen) == 2 * nodes[0]  # the data at both v and -v, once per node
 
@@ -213,7 +234,7 @@ def test_gamma_family_sweeps_once_per_round(monkeypatch):
     calls = []
     monkeypatch.setattr(axb, "gamma", lambda z: calls.append(np.size(z)) or gamma(z))
     f = lambda t1, t2: np.exp(-t1**2 - t2**2)
-    value, _ = axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)
+    value, _ = axb.GAMMA.forward(f, 0.4, 0.7, 1e-9)
     assert len(calls) == 2 and calls[0] == 1 and calls[1] % 2 == 0
     monkeypatch.undo()
-    assert value == axb._forward(axb._GAMMA, f, 0.4, 0.7, 1e-9)[0]
+    assert value == axb.GAMMA.forward(f, 0.4, 0.7, 1e-9)[0]

@@ -186,8 +186,8 @@ def test_error_estimate_bounds_the_error_against_mpmath():
         # integral over the whole unfolded path in the midpoint variable
         t, lam = 0.2, 0.4
         g = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2)
-        value, err = axb._forward(axb._GAMMA, g, lam, t, 1e-9)
-        full = replace(axb._GAMMA.contour(t), start=None)
+        value, err = axb.GAMMA.forward(g, lam, t, 1e-9)
+        full = replace(axb.GAMMA.contour(t), start=None)
         fmp = lambda v: (mp.gamma(1j * (v - t / 2)) * mp.gamma(-1j * (v + t / 2))
                          / (2 * mp.pi * mp.gamma(-1j * mp.mpf(t)))
                          * mp.exp(-((t / 2 - v + lam) ** 2 + (v + t / 2 - lam) ** 2) / 2))
@@ -197,15 +197,15 @@ def test_error_estimate_bounds_the_error_against_mpmath():
 @pytest.mark.parametrize("lam", [3.0, 5.0])
 def test_adaptive_forward_on_the_doubled_panels_against_mpmath(lam):
     # at these lam the data's bump, at v = lam - t/2, sits on panels that the
-    # run from the detour at t/2 doubled past max_panel
+    # run from the detour at t/2 doubled past the panel cap
     mp = pytest.importorskip("mpmath")
     from qplane import axb
 
     t = 0.7
     g = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2)
-    value, err = axb._forward(axb._GAMMA, g, lam, t, 1e-9)
-    full = replace(axb._GAMMA.contour(t), start=None)
-    a, b, arc, mid, half = contours._base_panels(contours._pieces(full, 1.0), 1.0)
+    value, err = axb.GAMMA.forward(g, lam, t, 1e-9)
+    full = replace(axb.GAMMA.contour(t), start=None)
+    a, b, arc, mid, half = contours._base_panels(contours._pieces(full))
     lo, hi = (a + b * (mid - half)).real, (a + b * (mid + half)).real
     assert np.any(~arc & (lo <= lam - t / 2) & (lam - t / 2 <= hi) & (hi - lo > 1.0))
     fmp = lambda v: (mp.gamma(1j * (v - t / 2)) * mp.gamma(-1j * (v + t / 2))
@@ -220,26 +220,26 @@ def test_separating_contour_is_point_symmetric(t):
     # the full contour maps onto itself under v -> -v; its half starts at v = 0
     from qplane import axb
 
-    half = axb._GAMMA.contour(t)
-    z, w = contour_nodes(replace(half, start=None), 1, 1.0)
+    half = axb.GAMMA.contour(t)
+    z, w = contour_nodes(replace(half, start=None), 1)
     mirror = np.argmin(np.abs(z[:, None] + z[None, :]), axis=1)
     assert np.max(np.abs(z + z[mirror])) <= 1e-14
     assert np.max(np.abs(w - w[mirror])) <= 1e-14
-    zh, wh = contour_nodes(half, 1, 1.0)
+    zh, wh = contour_nodes(half, 1)
     assert abs(2 * np.sum(wh) - np.sum(w)) <= 1e-14 * np.sum(np.abs(w))
-    assert contours._pieces(half, 1.0)[0][1] == 0
+    assert contours._pieces(half)[0][1] == 0
 
 
 def test_cleared_poles_nearer_than_max_panel_cut_the_line():
     cont = auto_detours([(0j, "above"), (1.0 + 0.2j, "below"), (-2.0 - 0.8j, "above")], 8.0)
     assert cont.cleared == (1.0 + 0.2j, -2.0 - 0.8j)
-    segs = [p for p in contours._pieces(cont, 0.5) if p[0] == "seg"]
+    segs = [p for p in contours._pieces(cont) if p[0] == "seg"]
     # cut at the foot 1.0 of the pole 0.2 above the line, graded toward it
     cut = [p for p in segs if p[2] == 1.0][0]
     nxt = segs[segs.index(cut) + 1]
     assert cut[4] == nxt[3] == pytest.approx(0.2) and nxt[1] == 1.0
-    # the pole 0.8 below is no nearer than max_panel: the table keeps its bits
-    far = auto_detours([(0j, "above"), (-2.0 - 0.8j, "above")], 8.0)
+    # the pole 1.2 below is no nearer than the panel cap: the table keeps its bits
+    far = auto_detours([(0j, "above"), (-2.0 - 1.2j, "above")], 8.0)
     bare = Contour(0.0, far.detours, 8.0)
     for level in range(3):
         assert all(np.array_equal(a, b) for a, b in zip(contour_nodes(far, level), contour_nodes(bare, level)))
@@ -278,8 +278,7 @@ def test_fixed_node_grids_unchanged():
     vals = [*axb.intertwiner_forward_grid(f, lams, 0.6),
             *qtransform.q_forward_grid(f, lams, 0.6, p8),
             qtransform.q_roundtrip(f, 0.3, 0.5, p8),
-            axb._inverse(axb._GAMMA, lambda lam, t: np.exp(-lam**2) * (1 + 0 * t), 0.3, 0.5,
-                         level=2)]
+            axb.GAMMA.inverse_grid(lambda lam, t: np.exp(-lam**2) * (1 + 0 * t), 0.3, 0.5, 2)]
     assert [complex(v) for v in vals] == [
         complex(float.fromhex(re), float.fromhex(im)) for re, im in GRID_PINS]
 
@@ -320,24 +319,25 @@ def _graded_run(dist, room, cap):
     return run
 
 
-def _reference_edges(length, d0, d1, max_panel=0.5):
+def _reference_edges(length, d0, d1):
     """Panel edges of a segment as fractions of its length.  One end within
-    max_panel of its pole: that end's run doubles, uncapped, while its edges
+    the panel cap of its pole: that end's run doubles, uncapped, while its edges
     stay inside the segment; the remainder is the last panel, or joins the
     run's last panel when narrower than half of it.  Both ends: each run is
-    capped at max_panel and kept to its half less a rounding margin, and the
-    span between the runs gets ceil(span / max_panel) equal panels; so does
+    kept under the cap and to its half less a rounding margin, and the
+    span between the runs gets ceil(span / cap) equal panels; so does
     a segment with no graded end."""
-    if (d0 < max_panel) != (d1 < max_panel):
+    cap = contours._MAX_PANEL
+    if (d0 < cap) != (d1 < cap):
         run = _graded_run(min(d0, d1), length, np.inf)
         if len(run) > 1 and length - run[-1] < (run[-1] - run[-2]) / 2:
             run = run[:-1]
         fractions = [e / length for e in run] + [1.0]
-        return fractions if d0 < max_panel else [1.0 - e for e in reversed(fractions)]
+        return fractions if d0 < cap else [1.0 - e for e in reversed(fractions)]
     room = length / 2 * (1 - 1e-9)
-    head = [e / length for e in _graded_run(d0, room, max_panel)]
-    tail = [1.0 - e / length for e in _graded_run(d1, room, max_panel)][::-1]
-    n = max(1, int(np.ceil((tail[0] - head[-1]) * length / max_panel)))
+    head = [e / length for e in _graded_run(d0, room, cap)]
+    tail = [1.0 - e / length for e in _graded_run(d1, room, cap)][::-1]
+    n = max(1, int(np.ceil((tail[0] - head[-1]) * length / cap)))
     return head[:-1] + list(np.linspace(head[-1], tail[0], n + 1)) + tail[1:]
 
 
@@ -392,10 +392,10 @@ def test_contour_nodes_match_a_per_piece_build(cont):
 def test_graded_panels_keep_clear_of_the_pinching_poles(t):
     from qplane import axb
 
-    half = axb._GAMMA.contour(t)
+    half = axb.GAMMA.contour(t)
     for cont in (half, replace(half, start=None)):  # the whole one also has the pinch
-        pieces = contours._pieces(cont, 1.0)
-        a, b, arc, mid, h = contours._base_panels(pieces, 1.0)
+        pieces = contours._pieces(cont)
+        a, b, arc, mid, h = contours._base_panels(pieces)
         lo, hi = a + b * (mid - h), a + b * (mid + h)
         width = np.abs(hi - lo)
         kinds = set()
@@ -407,7 +407,7 @@ def test_graded_panels_keep_clear_of_the_pinching_poles(t):
                 dist = np.minimum(np.abs(lo[on] - pole), np.abs(hi[on] - pole))
                 assert np.all(width[on] <= 1.5 * dist * (1 + 1e-12))
                 kinds.add("one-ended")
-            else:  # a pinch, or no graded end: at most max_panel
+            else:  # a pinch, or no graded end: at most the panel cap
                 assert width[on].max() <= 1.0
                 kinds.add("pinch")
         assert kinds == ({"one-ended"} if cont is half else {"one-ended", "pinch"})

@@ -31,15 +31,6 @@ def test_coaction_kernel_estimate_is_its_gb_factors(p, x, t):
     assert scalar.backend == g.backend and abs(scalar.err_estimate - expected) <= 1e-12 * expected
 
 
-def test_monomial_reordering_phase():
-    m1 = corep.NormalOrderedMonomial(0.3, 0.5)
-    m2 = corep.NormalOrderedMonomial(0.2, 0.1)
-    prod = m1.mul(m2, P08)
-    assert abs(prod.a_exp - 0.5) < 1e-14 and abs(prod.b_exp - 0.6) < 1e-14
-    expect_phase = P08.q ** (2 * 0.5 * 0.2 / P08.b2)
-    assert abs(prod.coeff - expect_phase) < 1e-14
-
-
 def test_coproduct_kernel_value_and_symmetry():
     v = corep.coproduct_kernel(0.2, 0.4, 0.7, P08)
     w = (qd.gb(1j * P08.b * (0.2 - 0.4), P08).value

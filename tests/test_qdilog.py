@@ -107,7 +107,7 @@ def test_gb_residue_limit():
     assert abs((4 * r1b - r1a) / 3 - 1) < 1e-6
     # product regime residue dominance (b^2 = 0.5i, x = 0.01): ~2 percent
     p = from_b2(0.5j)
-    v = qd.gb_product(0.01, p).value
+    v = qd.gb(0.01, p).value
     assert abs(v - 1.0 / (2 * np.pi * 0.01)) / (1.0 / (2 * np.pi * 0.01)) < 0.021
 
 
@@ -116,7 +116,7 @@ def test_product_backend_midpoint_modulus():
     # G_b(Q/2)^2 = e^{-i pi Q^2/4}, so |G_b(Q/2)| = |e^{-i pi Q^2/8}|
     # (the unimodularity familiar from real b needs the conjugation identity)
     p = from_b2(0.3 + 0.4j)
-    v = qd.gb_product(p.Q / 2, p).value
+    v = qd.gb(p.Q / 2, p).value
     assert abs(v**2 - np.exp(-1j * np.pi * p.Q**2 / 4)) < 1e-8
     assert abs(abs(v) - abs(np.exp(-1j * np.pi * p.Q**2 / 8))) < 1e-8
     # for real b the modulus is 1
@@ -126,17 +126,17 @@ def test_product_backend_midpoint_modulus():
 def test_product_truncation_oracle():
     # doubled-precision truncation as oracle (tolerance drives the counts)
     p = from_b2(0.2 + 0.1j)
-    coarse = qd.gb_product(0.4 + 0.3j, p, tol=1e-8).value
-    fine = qd.gb_product(0.4 + 0.3j, p, tol=1e-15).value
+    coarse = qd.gb(0.4 + 0.3j, p, tol=1e-8).value
+    fine = qd.gb(0.4 + 0.3j, p, tol=1e-15).value
     assert abs(coarse - fine) / abs(fine) < 1e-8
 
 
 def test_product_pole_flag():
     p = from_b2(0.3 + 0.4j)
     with pytest.raises(PoleError):
-        qd.gb_product(0.0, p)
+        qd.gb(0.0, p)
     with pytest.raises(PoleError):
-        qd.gb_product(-p.b, p)
+        qd.gb(-p.b, p)
 
 
 def test_zero_lattice_values():

@@ -72,11 +72,11 @@ def test_roundtrip_single_point():
 @pytest.mark.parametrize("family", ["gamma", "gb"])
 def test_roundtrip_reproduces_the_data(family):
     # the level-1 inverse over the level-1 forward grid, on verify's 9-point grid
-    kernel = axb._GAMMA if family == "gamma" else qt._gb_kernel(P08, 1e-9)
+    kernel = axb.GAMMA if family == "gamma" else qt.gb_family(P08, 1e-9)
     f = lambda t1, t2: np.exp(-t1**2 - t2**2)
     for t1 in (0.3, 0.6, 0.9):
         for t2 in (0.4, 0.7, 1.0):
-            assert abs(axb._roundtrip(kernel, f, t1, t2) - f(t1, t2)) < 1e-12
+            assert abs(kernel.roundtrip(f, t1, t2) - f(t1, t2)) < 1e-12
 
 
 def test_roundtrip_memory_stays_per_lambda():
@@ -93,7 +93,7 @@ def test_roundtrip_memory_stays_per_lambda():
 
 def test_inverse_via_forward_callable():
     phi = lambda lam, t: qt.q_forward_grid(GAUSS, lam, t, P08)
-    v = qt.apply_q_inverse(phi, 0.4, 0.6, P08, tol=1e-7)
+    v = qt.gb_family(P08, 1e-7).inverse(phi, 0.4, 0.6, 1e-7)[0]
     assert abs(v - GAUSS(0.4, 0.6)) < 1e-6
 
 
@@ -103,15 +103,15 @@ def test_point_kernels_are_the_transform_integrands(family, kind, level):
     # sum of weight * pointwise kernel * data over the separating contour's
     # nodes reproduces the fixed-node transform of the same family
     if family == "gamma":
-        kernel = axb._GAMMA
+        kernel = axb.GAMMA
         point = lambda lam, t1, t2: axb.classical_kernel(kind, lam, t1, t2)
     else:
-        kernel = qt._gb_kernel(P08, 1e-9)
+        kernel = qt.gb_family(P08, 1e-9)
         point = lambda lam, t1, t2: qt.q_kernel(f"F_{kind}_star", (lam, t1, t2), P08, 1e-9).value
     def both_halves(s):
         # the centered variable s/2 + v and s/2 - v over the nodes v of the
         # half contour, each with the node's quadrature weight
-        v, w = contour_nodes(kernel.contour(s), level=level, max_panel=axb._MAX_PANEL)
+        v, w = contour_nodes(kernel.contour(s), level=level)
         return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([w, w])
 
     if kind == "floor":
@@ -125,7 +125,7 @@ def test_point_kernels_are_the_transform_integrands(family, kind, level):
         t1, t2 = 0.4, 0.6
         mu, w = both_halves(-(t1 + t2))
         direct = sum(wk * point(mk + t1, t1, t2) * GAUSS(mk + t1, t1 + t2) for mk, wk in zip(mu, w))
-        ref = axb._inverse(kernel, GAUSS, t1, t2, level=level)
+        ref = kernel.inverse_grid(GAUSS, t1, t2, level)
     assert abs(direct - ref) <= 1e-12 * abs(ref)
 
 
@@ -142,7 +142,7 @@ def test_kernel_estimate_is_the_factors_relative_estimates(p):
     # each kind's G_b factors, at the arguments the kernel forms them
     def factors(kind, args):
         if kind.startswith("F_"):
-            x, y, s = axb._Kernel.point_args(qt._FOURIER_KINDS[kind], *args)
+            x, y, s = axb.KernelFamily.point_args(qt._FOURIER_KINDS[kind], *args)
             return [1j * x, -1j * y, -1j * s]
         alpha, x, x1, x2 = args
         zs = [p.Q + 1j * x - 1j * x2] if kind.startswith("floor") else [1j * x - 1j * x2]
@@ -201,9 +201,9 @@ def test_gb_family_grid_node_count():
     # T and back to v = 0 (624 with every panel capped at 0.25); at t = 1.4
     # the detours are 0.35 wide, and the ends are still graded (168 nodes,
     # 576 under a cap of 0.25)
-    kernel = qt._gb_kernel(P08, 1e-8)
-    assert contour_nodes(kernel.contour(0.5), 1, axb._MAX_PANEL)[0].size == 216
-    assert contour_nodes(kernel.contour(1.4), 1, axb._MAX_PANEL)[0].size <= 216
+    kernel = qt.gb_family(P08, 1e-8)
+    assert contour_nodes(kernel.contour(0.5), 1)[0].size == 216
+    assert contour_nodes(kernel.contour(1.4), 1)[0].size <= 216
 
 
 @pytest.mark.parametrize("t", [1.0, 1.4, 2.5])
@@ -227,7 +227,7 @@ def test_gb_family_node_counts_past_t_1(t, monkeypatch):
 @pytest.mark.parametrize("family", ["gamma", "gb"])
 def test_weight_is_even_in_the_midpoint_variable(family):
     # W(v) = K(i v - i s/2) K(-i v - i s/2) / norm(s) = W(-v): the fold's premise
-    kernel = axb._GAMMA if family == "gamma" else qt._gb_kernel(P08, 1e-10)
+    kernel = axb.GAMMA if family == "gamma" else qt.gb_family(P08, 1e-10)
     rng = np.random.default_rng(5)
     for s in (0.7, 1.3 - 0.2j, 0.4 + 0.3j):
         v = rng.uniform(-4, 4, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
