@@ -38,7 +38,9 @@ the integrand nodes of one call of each adaptive contour user in NODES_CHILD
 at each t in NODE_TS, ``axb.act_mellin``, ``gammafn.hyp2f1_contour``,
 ``gammafn.binomial_mellin_residual``, ``qdilog.tau_beta_residual``,
 ``qdilog.fourier_gb_residual``, ``qdilog.fb_hypergeometric`` and
-``qdilog.veta_integral``; and its lines per ``src/qplane`` module
+``qdilog.veta_integral``, and the ``gb_many`` calls and points of one
+``qtransform.q_forward_grid``, ``qtransform.q_roundtrip`` and
+``qdilog.gb_residue_at_pole`` call; and its lines per ``src/qplane`` module
 (``src_lines``), so the net-lines figure comes from the same file as the
 timings.  A full run takes about 50 minutes.
 """
@@ -168,7 +170,10 @@ print(json.dumps(statistics.median(times)))
 # in NODE_TS, act_mellin with and without a raised line, hyp2f1_contour and
 # binomial_mellin_residual at the arguments of verify's and the tests' cases, and
 # tau_beta_residual, fourier_gb_residual, fb_hypergeometric and veta_integral at
-# the arguments of verify's records.
+# the arguments of verify's records.  Also the gb_many calls and points, counted at
+# its qdilog and qtransform bindings, of q_forward_grid on perfbench's quantum grid
+# (lam = 4.5 GL48, t = 1.4), of q_roundtrip(0.5, 0.7) and of gb_residue_at_pole(3),
+# all at b = 0.8.
 NODE_TS = (0.2, 0.3, 0.5, 1.0, 1.4, 2.5)
 NODES_CHILD = """
 import json, sys
@@ -189,6 +194,16 @@ def nodes(call, *args, **kwargs):
     count[0] = 0
     call(*args, **kwargs)
     return count[0]
+sweeps, many = [0, 0], qdilog.gb_many
+def counted_many(x, *args, **kwargs):
+    sweeps[0] += 1
+    sweeps[1] += np.size(x)
+    return many(x, *args, **kwargs)
+qdilog.gb_many = qtransform.gb_many = counted_many
+def gb_sweeps(call, *args, **kwargs):
+    sweeps[:] = [0, 0]
+    call(*args, **kwargs)
+    return {"calls": sweeps[0], "points": sweeps[1]}
 f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3 * t1)
 F = lambda z: gamma(1 + 1j * np.asarray(z, dtype=complex))
 g = axb.GroupElement(1.5, 0.7)
@@ -219,6 +234,11 @@ print(json.dumps({
                                                 pr.b * 2.1, -0.4, pr),
         "b=0.8, (Q/4, Q/3, Q/4), -0.5": nodes(qdilog.fb_hypergeometric, Q / 4, Q / 3, Q / 4, -0.5, p8)},
     "veta_integral": {"b=0.8, z=0.4": nodes(qdilog.veta_integral, 0.4, p8)},
+    "gb_many": {
+        "q_forward_grid, 48 lam, t=1.4": gb_sweeps(qtransform.q_forward_grid, f,
+                                                   4.5 * np.polynomial.legendre.leggauss(48)[0], 1.4, p8),
+        "q_roundtrip(0.5, 0.7)": gb_sweeps(qtransform.q_roundtrip, f, 0.5, 0.7, p8),
+        "gb_residue_at_pole(3)": gb_sweeps(qdilog.gb_residue_at_pole, 3, p8)},
 }))
 """
 

@@ -31,6 +31,7 @@ from .qdilog import QDValue
 TwoVarFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _TRUNCATION = 14.0  # half-length of the intertwiners' separating contour
+_BLOCK = 4096  # forward_grid's (lam, node) block; up to numpy's ufunc buffer (8192) rows sum bit-exactly
 
 
 @dataclass(frozen=True)
@@ -203,24 +204,30 @@ def _separating_contour(s: complex, truncation: float):
 
 
 class KernelFamily(NamedTuple):
-    """A kernel family K of the separating-contour transforms.  In the
-    centered variable whose pole ladders head at 0 (contour above) and s
-    (below) -- u = t2 + lam with s = t forward, mu = lam - t1 with s = -t
-    inverse -- the lam-independent weight is K(i u - i s) K(-i u) / norm(s),
-    norm(s) = const K(-i s).  In the midpoint variable v = u - s/2 it is
-    K(i v - i s/2) K(-i v - i s/2) / norm(s), even in v, so each transform
-    integrates over the half C+ of its point-symmetric contour (``contour``)
-    with the data at both u = s/2 + v and s/2 - v.  For real lam and t the
-    path takes the data's arguments within |Im| <= 0.35 (the largest detour
-    radius), where the data must be analytic (entire data always is): a
-    data pole there is crossed without a signal."""
+    """A kernel family K of the separating-contour transforms.  In the centered
+    variable whose pole ladders head at 0 (contour above) and s (below) -- u = t2 + lam
+    with s = t forward, mu = lam - t1 with s = -t inverse -- the lam-independent weight
+    is K(i u - i s) K(-i u) / norm(s), norm(s) = const K(-i s).  In the midpoint
+    variable v = u - s/2 it is K(i v - i s/2) K(-i v - i s/2) / norm(s), even in v, so
+    each transform integrates over the half C+ of its point-symmetric contour
+    (``contour``) with the data at both u = s/2 + v and s/2 - v.  For real lam and t
+    the path takes the data's arguments within |Im| <= 0.35 (the largest detour
+    radius), where the data must be analytic (entire data always is): a data pole
+    there is crossed without a signal.  The data must broadcast: the grids call it
+    with an (m, 1) array of lam against an (n,) array of nodes."""
 
-    pair: Callable  # (x, y) -> K(i x) K(-i y), vectorized
+    many: Callable  # z -> K(z) on an array of z
     at: Callable  # z -> K(z) at one point, as a QDValue
     const: float  # the family's constant in norm(s)
     contour: Callable  # s -> the half C+ of the separating contour in v
     forward_phase: Callable | None = None  # (lam, u, t) -> the entire lam-phase
     inverse_phase: Callable | None = None  # (lam, t1, t2) -> the entire lam-phase
+
+    def pair(self, x, y) -> np.ndarray:
+        """K(i x) K(-i y), at least 1-D, both factors from one ``many`` sweep over [i x, -i y]."""
+        x = np.atleast_1d(x)
+        k = self.many(np.concatenate([1j * x.ravel(), -1j * np.ravel(y)]))
+        return (k[:x.size] * k[x.size:]).reshape(x.shape)
 
     def weight(self, s):
         """v -> K(i v - i s/2) K(-i v - i s/2) / norm(s), the norm evaluated once."""
@@ -264,10 +271,13 @@ class KernelFamily(NamedTuple):
 
     def forward_grid(self, f: TwoVarFn, lams, t: complex, level: int) -> np.ndarray:
         """forward on an array of lam, on the nodes of ``level``: the weight
-        evaluated once and contracted one lam at a time."""
+        evaluated once and contracted against blocks of at most _BLOCK (lam, node) points."""
         u, g = self._grid(t, level)
-        return np.array([np.sum(self._forward_term(f, lam, t, u, g))
-                         for lam in np.asarray(lams, dtype=complex)])
+        lams = np.asarray(lams, dtype=complex)
+        out, rows = np.empty(lams.size, dtype=complex), max(1, _BLOCK // u.size)
+        for i in range(0, lams.size, rows):
+            out[i:i + rows] = np.sum(self._forward_term(f, lams[i:i + rows, None], t, u, g), axis=-1)
+        return out
 
     def inverse(self, F: TwoVarFn, t1, t2, tol: float) -> tuple[complex, float]:
         """``int weight phase F(mu + t1, t)`` over the contour of -t, t = t1 + t2
@@ -319,14 +329,7 @@ class KernelFamily(NamedTuple):
         return np.concatenate([s / 2 + v, s / 2 - v]), np.concatenate([g, g])
 
 
-def _gamma_pair(x, y):
-    """Gamma(i x) Gamma(-i y), both factors from one gamma sweep over [i x, -i y]."""
-    x = np.asarray(x)
-    g = gamma(np.concatenate([1j * x.ravel(), -1j * np.ravel(y)]))
-    return (g[:x.size] * g[x.size:]).reshape(x.shape)
-
-
-GAMMA = KernelFamily(_gamma_pair,
+GAMMA = KernelFamily(lambda z: gamma(z),  # looked up per call, so a rebound axb.gamma is used
                      lambda z: QDValue(gamma(z), "closed-form", 0.0), 2 * np.pi,
                      lambda s: _separating_contour(s, _TRUNCATION))
 
@@ -353,6 +356,6 @@ def intertwiner_inverse(F: TwoVarFn, t1: complex, t2: complex, tol: float = 1e-9
 
 
 def intertwiner_forward_grid(f: TwoVarFn, lams: np.ndarray, t: complex, level: int = 2) -> np.ndarray:
-    """``GAMMA.forward_grid``: the forward transform on an array of lam at
-    fixed t, on the fixed nodes of ``level`` with the gamma factors evaluated once."""
+    """``GAMMA.forward_grid``, the gamma factors evaluated once on the nodes of ``level``;
+    f must broadcast an (m, 1) array of lam against an (n,) array of nodes."""
     return GAMMA.forward_grid(f, lams, t, level)

@@ -407,24 +407,25 @@ def residue_at(
 ) -> complex:
     """Residue of ``f`` at ``z0`` via periodic-trapezoid quadrature on a circle.
 
-    Starts at 32 nodes and doubles up to 8 times.  Assumes at most a simple
-    pole at z0 and no other singularity within the radius; the caller can
-    cross-check with a second radius.
+    Nested levels of 32 to 8192 nodes: the first call evaluates 64, each doubling
+    only the new odd-index ones.  Assumes at most a simple pole at z0 and no other
+    singularity within the radius; the caller can cross-check with a second radius.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    prev = None
-    n = 32
-    for _ in range(9):
-        th = 2 * np.pi * np.arange(n) / n
-        z = z0 + radius * np.exp(1j * th)
-        vals = _require_vector_fn(f, z)
-        # (1/2pi i) * integral f dz = (R/n) * sum f(z_k) e^{i th_k}
-        est = complex(radius / n * np.sum(vals * np.exp(1j * th)))
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
+    e = np.exp(1j * (2 * np.pi * np.arange(64) / 64))
+    vals = _require_vector_fn(f, z0 + radius * e)
+    # (1/2pi i) * integral f dz = (R/n) * sum f(z_k) e^{i th_k}, th_k = 2 pi k / n
+    prev = complex(radius / 32 * np.sum(vals[::2] * e[::2]))  # 32 nodes: the even half
+    for n in (64, 128, 256, 512, 1024, 2048, 4096, 8192):
+        if n > vals.size:  # interleave the new, odd-index nodes
+            odd = np.exp(1j * (2 * np.pi * np.arange(1, n, 2) / n))
+            e = np.stack([e, odd], axis=-1).ravel()
+            vals = np.stack([vals, _require_vector_fn(f, z0 + radius * odd)], axis=-1).ravel()
+        est = complex(radius / n * np.sum(vals * e))
+        if abs(est - prev) <= tol * max(1.0, abs(est)):
             return est
         prev = est
-        n *= 2
     raise QuadratureError("residue quadrature did not converge; pole may not be simple")
 
 

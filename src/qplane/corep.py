@@ -31,11 +31,10 @@ from .qtransform import gb_family
 
 @dataclass(frozen=True)
 class NormalOrderedMonomial:
-    """coeff * A^{i a_exp / b} B^{i b_exp / b}, A-power kept left of B-power."""
+    """A^{i a_exp / b} B^{i b_exp / b}, A-power kept left of B-power."""
 
     a_exp: complex
     b_exp: complex
-    coeff: complex = 1.0 + 0j
 
 
 def _scaled_coaction_kernel(x, z, p: ModularParam, tol: float = 1e-10):

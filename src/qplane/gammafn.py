@@ -10,11 +10,10 @@ sum's 14 partial fractions are summed by broadcasting, in complex
 arithmetic on small batches and in real arithmetic (no complex division)
 on large ones; on large batches log t is also formed in real arithmetic
 as log|t| + i arg t, and the prefactor is a single exp.  A single finite
-point takes the same route in cmath, without the array overhead.  A kernel
-pair K(i x) K(-i y) is one gamma sweep over both arguments.  These are the
-classical targets that the quantum-dilogarithm limits are checked against:
-the gamma-beta integral, the Mellin-Barnes binomial formula, and the Gauss
-hypergeometric function evaluated by contour integral.
+point takes the same route in cmath, without the array overhead.  These are
+the classical targets that the quantum-dilogarithm limits are checked
+against: the gamma-beta integral, the Mellin-Barnes binomial formula, and
+the Gauss hypergeometric function evaluated by contour integral.
 """
 
 from __future__ import annotations

@@ -17,10 +17,8 @@ gamma one.  The classical limit is the same swap of family: b times the
 G_b point at (b lam, b t1, b t2) tends to the gamma point at (lam, t1, t2)
 as q -> 1.  In the centered variable (u = t2 + lam forward, mu = lam - t1
 inverse) the G_b factors do not depend on lam: fixed-node grids and round
-trips take one G_b sweep per contour and contract it one lam at a time.
-The weight is even in the midpoint variable v = u - t/2, so that sweep (two
-``gb_many`` calls) covers only the half of the separating contour from
-v = 0 on, and the data is evaluated at both u = t/2 + v and t/2 - v.
+trips take one G_b sweep (one ``gb_many`` call) per contour, on the half of
+its folded contour (see ``axb``), and contract it against blocks of lam.
 """
 
 from __future__ import annotations
@@ -55,8 +53,7 @@ def gb_family(p: ModularParam, tol: float) -> KernelFamily:
         return cont
 
     return KernelFamily(
-        lambda x, y: gb_many(1j * x, p, tol) * gb_many(-1j * y, p, tol),
-        lambda z: gb(z, p, tol), 1.0, contour,
+        lambda z: gb_many(z, p, tol), lambda z: gb(z, p, tol), 1.0, contour,
         forward_phase=lambda lam, u, t: np.exp(1j * np.pi * lam * (2 * u - 2 * t - lam)),
         inverse_phase=lambda lam, t1, t2: np.exp(1j * np.pi * lam * (lam + 2 * t2))
         * np.exp(-2j * np.pi * t1 * t2),
@@ -126,15 +123,16 @@ def apply_q_forward(f, lam: complex, t: complex, p: ModularParam, tol: float = 1
 
 
 def q_roundtrip(f, t1: float, t2: float, p: ModularParam, tol: float = 1e-9) -> complex:
-    """``gb_family(p, tol).roundtrip``: the G_b family's round trip, G_b evaluated to tol."""
+    """``gb_family(p, tol).roundtrip``, G_b evaluated to tol; f must broadcast
+    an (m, 1) array against an (n,) array."""
     return gb_family(p, tol).roundtrip(f, t1, t2)
 
 
 def q_forward_grid(
     f, lams: np.ndarray, t: complex, p: ModularParam, tol: float = 1e-9, level: int = 1,
 ) -> np.ndarray:
-    """``gb_family(p, tol).forward_grid``: the forward transform on an array
-    of lam at fixed t (one G_b sweep)."""
+    """``gb_family(p, tol).forward_grid`` (one G_b sweep); f must broadcast an
+    (m, 1) array of lam against an (n,) array of nodes."""
     return gb_family(p, tol).forward_grid(f, lams, t, level)
 
 

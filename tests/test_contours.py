@@ -260,10 +260,10 @@ GRID_PINS = [
     ("0x1.20414d881d2f7p-1", "0x1.88faf8486880ap-3"),
     ("0x1.2a5792a05d38cp-1", "0x1.024fddfe1c983p-1"),
     ("0x1.3736afa242f1dp-3", "0x1.ae1220bce495dp-4"),
-    ("0x1.eb3e02d423daep-3", "0x1.31b38f9492683p-1"),
-    ("0x1.6a5a4d0e64abep-1", "0x1.2367031462764p-4"),
-    ("0x1.75b730dc8adb9p-4", "0x1.5444c66ce31dcp-2"),
-    ("0x1.aff4d5b822762p-1", "0x1.3702337a5640cp-4"),
+    ("0x1.eb3e02d423db2p-3", "0x1.31b38f9492680p-1"),
+    ("0x1.6a5a4d0e64abep-1", "0x1.2367031462748p-4"),
+    ("0x1.75b730dc8adb8p-4", "0x1.5444c66ce31d8p-2"),
+    ("0x1.aff4d5b822766p-1", "0x1.3702337a563fep-4"),
     ("0x1.768e9a3925fe3p-1", "-0x1.46237a1ead8c4p-1"),
 ]
 
@@ -416,3 +416,37 @@ def test_graded_panels_keep_clear_of_the_pinching_poles(t):
             assert np.all(dist >= 0.5 * width[~arc] * (1 - 1e-12))
         if cont is half:  # the panels beside a detour are its radius wide
             assert abs(width[~arc].min() - cont.detours[0].radius) <= 1e-15
+
+
+def test_residue_levels_are_nested(monkeypatch):
+    from qplane import qdilog as qd
+    from qplane.modular import from_b
+
+    # a G_b residue converges at 64 nodes: one gb_many call of 64 points
+    p8, sizes, many = from_b(0.8), [], qd.gb_many
+    monkeypatch.setattr(qd, "gb_many", lambda z, p, tol: sizes.append(z.size) or many(z, p, tol))
+    qd.gb_residue_at_pole(3, p8)
+    assert sizes == [64]
+    # the value converged at 64 nodes is the plain 64-node trapezoid sum, bit for bit
+    z0, radius = 0.2 + 0.1j, 0.3
+    f = lambda z: np.exp(z) / (z - z0)
+    e = np.exp(1j * (2 * np.pi * np.arange(64) / 64))
+    assert residue_at(f, z0, radius) == complex(radius / 64 * np.sum(f(z0 + radius * e) * e))
+
+    # a pole at 1.2 radius needs 512 nodes; each is evaluated exactly once
+    radius, a, seen = 0.5, 0.6, []
+
+    def f(z):
+        seen.append(z)
+        return 1.0 / (z * (z - a))
+
+    assert abs(residue_at(f, 0j, radius) + 1 / a) <= 1e-12 / a
+    assert [z.size for z in seen] == [64, 64, 128, 256]
+    angles = np.sort(np.mod(np.angle(np.concatenate(seen)), 2 * np.pi))
+    assert np.allclose(angles, 2 * np.pi * np.arange(512) / 512, rtol=0, atol=1e-12)
+    # a pole at 1.0001 radius does not converge by 8192 nodes, each evaluated once
+    seen.clear()
+    a = 1.0001 * radius
+    with pytest.raises(QuadratureError):
+        residue_at(f, 0j, radius)
+    assert sum(z.size for z in seen) == 8192

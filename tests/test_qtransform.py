@@ -80,7 +80,7 @@ def test_roundtrip_reproduces_the_data(family):
 
 
 def test_roundtrip_memory_stays_per_lambda():
-    # the forward grid is contracted one lam at a time, never as a
+    # the forward grid is contracted in blocks of lam rows, never as the whole
     # (lam nodes) x (u nodes) tensor (about 100 MB when it was)
     tracemalloc.start()
     try:
@@ -233,3 +233,49 @@ def test_weight_is_even_in_the_midpoint_variable(family):
         v = rng.uniform(-4, 4, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
         w = kernel.weight(s)
         assert np.max(np.abs(w(-v) - w(v)) / np.abs(w(v))) <= 1e-14
+
+
+def _forward_grid_per_lambda(kernel, f, lams, t, level):
+    """forward_grid as one np.sum per lam over both halves of the contour."""
+    v, wq = contour_nodes(kernel.contour(t), level=level)
+    g = kernel.weight(t)(v) * wq
+    u, g = np.concatenate([t / 2 + v, t / 2 - v]), np.concatenate([g, g])
+    out = []
+    for lam in np.asarray(lams, dtype=complex):
+        gl = g * kernel.forward_phase(lam, u, t) if kernel.forward_phase else g
+        out.append(np.sum(gl * f(t - u + lam, u - lam)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family", ["gamma", "gb"])
+@pytest.mark.parametrize("t", [0.6, 1.4, 0.7 + 0.1j])
+def test_forward_grid_blocks_keep_the_per_lambda_bits(family, t):
+    # the (lam, node) blocks sum each row as the per-lam np.sum does; 336 lam
+    # (a round trip's count) span several blocks, and most m end in a partial one
+    kernel = axb.GAMMA if family == "gamma" else qt.gb_family(P08, 1e-9)
+    f = lambda t1, t2: np.exp(-(t1**2 + t2**2) / 2) * (1 + 0.3j * t1)
+    for level in (1, 2):
+        assert 336 * 2 * contour_nodes(kernel.contour(t), level)[0].size > 2 * axb._BLOCK
+        for m in (1, 7, 48, 336):
+            lams = 4.5 * np.polynomial.legendre.leggauss(m)[0]
+            if m == 7:
+                lams = lams + 0.1j  # complex lam
+            grid = kernel.forward_grid(f, lams, t, level)
+            assert np.array_equal(grid, _forward_grid_per_lambda(kernel, f, lams, t, level)), (level, m)
+
+
+@pytest.mark.parametrize("t", [0.5, 4.4])
+def test_gb_weight_is_one_gb_many_sweep(t, monkeypatch):
+    # both G_b factors of the weight come from one gb_many call over [i x, -i y]
+    kernel = qt.gb_family(P08, 1e-9)
+    v = contour_nodes(kernel.contour(t), 1)[0]
+    sizes, many = [], qd.gb_many
+    monkeypatch.setattr(qt, "gb_many", lambda z, p, tol: sizes.append(np.size(z)) or many(z, p, tol))
+    val = kernel.weight(t)(v)
+    assert sizes == [2 * v.size]
+    two = (many(1j * (v - t / 2), P08, 1e-9) * many(-1j * (v + t / 2), P08, 1e-9)
+           / qd.gb(-1j * t, P08, 1e-9).value)
+    assert np.max(np.abs(val - two) / np.abs(two)) <= 1e-13
+    # a scalar argument gives a 1-element array (corep.coproduct_kernel indexes it)
+    for family in (kernel, axb.GAMMA):
+        assert family.pair(0.3, 0.2).shape == (1,)
