@@ -13,7 +13,12 @@ interpreter, all with one BLAS thread.  Then the latency of the classical
 forward op: the median in-process ``axb.intertwiner_forward`` time over
 FORWARD_OPS seeded ops drawn as perfbench's classical ``forward`` stratum
 draws them, the best of FORWARD_ROUNDS alternating fresh processes per side.
-Then a size sweep times ``gb_many`` at SWEEP_SIZES points in both regimes,
+Likewise the latency of the quantum kernel limit: the median in-process
+``qtransform.kernel_limit_residual`` time over KERNEL_OPS seeded ladders drawn as
+perfbench's quantum ``ladder-kernel`` stratum draws them, each at every r of its
+schedule, the best of KERNEL_ROUNDS.  Then a size sweep times ``gb_many`` at
+SWEEP_SIZES points in three regimes (real b, generic b^2, and b^2 = i r at
+r = 1e-3, where the product's head is long),
 with one BLAS thread and with the library's default threading: each round
 runs the parent and the change as fresh subprocesses in alternating order,
 and the best of SWEEP_ROUNDS rounds is kept per side.  Then, seed by seed
@@ -69,22 +74,26 @@ SWEEP_SIZES, SWEEP_ROUNDS = (1, 4, 32, 128, 1152), 7
 # One child of the size sweep: per regime and size, the best over 5 repeats of the
 # mean time of gb_many on one seeded batch, the repeats long enough for ~20 ms each.
 # Points as in perfbench's gb-eval batches: real b = 0.8 with Re x in [-3, Q + 3],
-# 0.15 <= |Im x| <= 1.5; generic b^2 = 0.3 + 0.4i on the box [-1, 3] x [-1, 1].
+# 0.15 <= |Im x| <= 1.5; generic b^2 = 0.3 + 0.4i on the box [-1, 3] x [-1, 1];
+# the limit regime b^2 = i r at r = 1e-3 (about 64 head factors per point) on
+# x = b u, u in [0.2, 3] x [-0.5, 0.5], as perfbench's limit batches draw x.
 SWEEP_CHILD = """
 import json, sys, time
 import numpy as np
 from qplane import qdilog
-from qplane.modular import from_b, from_b2
+from qplane.modular import from_b, from_b2, from_r
 rng = np.random.default_rng(8)
 out = {}
-for regime, p in (("integral", from_b(0.8)), ("product", from_b2(0.3 + 0.4j))):
+for regime, p in (("integral", from_b(0.8)), ("product", from_b2(0.3 + 0.4j)), ("limit", from_r(1e-3))):
     out[regime] = {}
     for n in json.loads(sys.argv[1]):
         if regime == "integral":
             re = rng.uniform(-3.0, p.Q.real + 3.0, n)
             x = re + 1j * rng.choice((-1.0, 1.0), n) * rng.uniform(0.15, 1.5, n)
-        else:
+        elif regime == "product":
             x = rng.uniform(-1.0, 3.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        else:
+            x = p.b * (rng.uniform(0.2, 3.0, n) + 1j * rng.uniform(-0.5, 0.5, n))
         qdilog.gb_many(x, p)
         t0 = time.perf_counter()
         qdilog.gb_many(x, p)
@@ -161,6 +170,28 @@ for f, lam, t in ops:
     t0 = time.perf_counter()
     axb.intertwiner_forward(f, lam, t)
     times.append(time.perf_counter() - t0)
+print(json.dumps(statistics.median(times)))
+"""
+# One child of the kernel latency: the median seconds of an in-process
+# qtransform.kernel_limit_residual call over KERNEL_OPS seeded ladders of perfbench's
+# quantum ladder-kernel stratum, each lam, t1, t2 drawn as it draws them and called
+# at every r of its limit schedule (the product backend's G_b on nearly imaginary
+# q-Pochhammer arguments; quantum's median op).
+KERNEL_ROUNDS, KERNEL_OPS = 7, 100
+KERNEL_CHILD = """
+import json, statistics, sys, time
+import numpy as np
+from qplane import qtransform
+rng = np.random.default_rng(12)
+ops = [(rng.uniform(0.3, 0.7), rng.uniform(0.8, 1.2), rng.uniform(1.3, 1.7))
+       for _ in range(int(sys.argv[1]))]
+qtransform.kernel_limit_residual(*ops[0], 0.1)  # warm-up
+times = []
+for lam, t1, t2 in ops:
+    for r in (0.1, 0.05, 0.025, 1e-3):
+        t0 = time.perf_counter()
+        qtransform.kernel_limit_residual(lam, t1, t2, r)
+        times.append(time.perf_counter() - t0)
 print(json.dumps(statistics.median(times)))
 """
 # One child of the node count: integrand nodes of the adaptive contour users, per
@@ -284,18 +315,19 @@ def eval_latency(roots: dict) -> dict:
     return result
 
 
-def forward_latency(roots: dict) -> dict:
-    """Best-of-FORWARD_ROUNDS median seconds of an in-process intertwiner_forward call, per side."""
+def call_latency(roots: dict, name: str, child: str, rounds: int, ops: int) -> dict:
+    """Best-of-``rounds`` median seconds of one in-process call of ``name``, per side,
+    from fresh ``child`` processes that alternate sides."""
     best = {side: float("inf") for side in roots}
-    for i in range(FORWARD_ROUNDS):
+    for i in range(rounds):
         for side in (list(roots) if i % 2 == 0 else list(roots)[::-1]):
-            proc = subprocess.run([sys.executable, "-c", FORWARD_CHILD, str(FORWARD_OPS)],
+            proc = subprocess.run([sys.executable, "-c", child, str(ops)],
                                   env={**os.environ, **ENV, "PYTHONPATH": str(roots[side] / "src")},
                                   capture_output=True, text=True, check=True)
             best[side] = min(best[side], json.loads(proc.stdout))
-    result = {"unit": "s per intertwiner_forward call, median", "rounds": FORWARD_ROUNDS,
-              "ops": FORWARD_OPS, **best, "ratio": best["change"] / best["parent"]}
-    print(f"forward latency: {result}", flush=True)
+    result = {"unit": f"s per {name} call, median", "rounds": rounds,
+              "ops": ops, **best, "ratio": best["change"] / best["parent"]}
+    print(f"{name} latency: {result}", flush=True)
     return result
 
 
@@ -425,7 +457,10 @@ def main(argv=None) -> int:
         "order": "seed-major: per seed every workload's pair back to back, "
                  "parent first on even-indexed seeds",
         "eval_latency": eval_latency(roots),
-        "forward_latency": forward_latency(roots),
+        "forward_latency": call_latency(roots, "intertwiner_forward", FORWARD_CHILD,
+                                        FORWARD_ROUNDS, FORWARD_OPS),
+        "kernel_latency": call_latency(roots, "kernel_limit_residual", KERNEL_CHILD,
+                                       KERNEL_ROUNDS, KERNEL_OPS),
         "size_sweep": {"sizes": SWEEP_SIZES, "rounds": SWEEP_ROUNDS, "unit": "s per gb_many call",
                        **size_sweep(roots)},
         "end_to_end": pairs(roots, SEEDS, SECONDS),

@@ -96,6 +96,29 @@ def test_gb_product_error_estimate_bounds_oracle(b2, re, im, tol):
     assert abs(g.value - ref) <= g.err_estimate + 1e-13 * abs(ref)
 
 
+@pytest.mark.parametrize("b2", [0.3 + 0.4j, 0.5j, -0.4 + 0.3j])
+def test_gb_product_bounds_oracle_past_unit_modulus(b2):
+    # |Re x|, |Im x| <= 6, where Re a of the q-Pochhammer arguments reaches about
+    # +40: head factors 1 - e^{a + m lq} of modulus far above 1.  A point alone with such
+    # factors forms each by its own expm1; the points repeated 24 times take the head's
+    # two anchors, one on each side of |e^{a + m lq}| = 1
+    p = from_b2(b2)
+    rng = np.random.default_rng(75)
+    xs = rng.uniform(-6.0, 6.0, 25) + 1j * rng.uniform(-6.0, 6.0, 25)
+    batched = qd.gb_many(np.tile(xs, 24), p)
+    for x, v in zip(xs, batched):
+        g = qd.gb(x, p)
+        ref = _oracle_product(x, p.b)
+        for value in (g.value, v):
+            assert abs(value - ref) <= g.err_estimate + 1e-13 * abs(ref), x
+    # the pole at x = 0, where the factor 1 - e^{2 pi i b x} ~ 6e-9 is an anchor
+    # (tol 1e-13: at the default tol the series remainder alone reaches 1e-13)
+    for phi in np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False):
+        x = 1e-9 * np.exp(1j * phi)
+        ref = _oracle_product(x, p.b)
+        assert abs(qd.gb(x, p, 1e-13).value - ref) <= 1e-13 * abs(ref), phi
+
+
 def test_make_fixtures_reproduces_frozen_values():
     for name, (re, im) in FIXTURE_DIGITS.items():
         v = make_fixtures.fixture(name)
