@@ -2,11 +2,11 @@
 
 Two backends realize the same meromorphic function:
 
-* infinite product (Im b^2 > 0) in log form: per point the factors far from 1,
-  each one multiply-add from one of two anchors (two expm1 per point) against a
-  table of expm1(k lq) that the batch shares (a small batch with factors of
-  modulus > 1 forms each by its own expm1), then Euler's series for the rest,
-  cut where its remainder bound is tol/10;
+* infinite product (Im b^2 > 0) in log form: per point the factors far from 1
+  (in a batch with none of modulus > 1, one expm1 per point and one multiply-add
+  per factor against a table of expm1(k lq) that the batch shares; else one
+  expm1 per factor), then Euler's series for the rest, cut where its remainder
+  bound is tol/10;
 * one-dimensional integral representation (b real), by the trapezoid rule on
   a y-grid that is halved, reusing every node, until two levels agree to tol
   (geometric convergence: the integrand is analytic in the strip
@@ -49,8 +49,7 @@ from .modular import ModularParam, from_r
 
 _POLE_FACTOR_EPS = 1e-12
 _EPS = float(np.finfo(float).eps)
-_ANCHOR_COST = (6, 512)  # factors' expm1 per point and per call (measured; _log_qpochhammer)
-_J_MARGIN = 1e-9  # in units of factor index: a rounding margin on J in _log_qpochhammer
+_ANCHOR_RE_MAX = 1e-9  # max Re a for which _log_qpochhammer anchors the head at m = 0
 _MAX_HALVINGS = 5  # trapezoid step halvings per |Re z| band of the integral backend
 _SINH2_CUTOFF = 20.0  # y beyond which the sinh^-2 subtraction (~4 e^{-2y}) is dropped
 _BAND_EDGES = (0.0, 2.0, 4.0, 8.0, 16.0, 32.0, np.inf)  # |Re z| bands of the integral backend
@@ -127,11 +126,9 @@ def _euler_series(lq: complex, tol: float) -> tuple[float, np.ndarray, float]:
 
 
 @lru_cache(maxsize=256)
-def _head_tables(lq: complex, n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """expm1(k lq) for k < n and e^{-k lq} for k < j: the q-Pochhammer head's shared tables
-    (j <= max J, so e^{-k lq} stays below e^690)."""
-    k = np.arange(n) * lq
-    return np.expm1(k), np.exp(-k[:j])
+def _expm1_table(lq: complex, n: int) -> np.ndarray:
+    """expm1(k lq) for k < n: the table that a q-Pochhammer head anchored at m = 0 shares."""
+    return np.expm1(np.arange(n) * lq)
 
 
 def _log_qpochhammer(a: np.ndarray, lq: complex, tol: float, poles=False) -> tuple[np.ndarray, float]:
@@ -141,65 +138,43 @@ def _log_qpochhammer(a: np.ndarray, lq: complex, tol: float, poles=False) -> tup
     _POLE_FACTOR_EPS of 0 raises PoleError), the rest Euler's series
     log(w; e^lq)_inf = -sum_k w^k/(k(1 - e^{k lq})), w = e^{a + M lq}.
 
-    The head takes two complex expm1 per point, at the anchors A = a + J lq and
-    C = a + (J - 1) lq, where J counts the factors with |e^{a + m lq}| > 1; each factor
-    is then one multiply-add against the batch's tables expm1(k lq) and e^{-k lq}:
-    1 - e^{A + k lq} = -(expm1 A + e^A expm1(k lq)) with |e^A| <= 1, and
-    1 - e^{C - k lq} = e^{-k lq} (expm1(k lq) - expm1 C) with |e^C| > 1, so neither
-    multiplies a rounding error by a large e^A or e^{-k lq}.  A batch with J > 0 whose
-    head is too short to pay for J and C forms each factor as -expm1(a + m lq).
+    When every factor has |e^{a + m lq}| <= 1 (Re a <= _ANCHOR_RE_MAX, a rounding margin
+    for nearly imaginary a), the head takes one complex expm1 per point and each factor
+    one multiply-add against the cached table expm1(k lq):
+    1 - e^{a + k lq} = -(expm1 a + e^a expm1(k lq)).  Otherwise e^a may be large enough
+    to swamp the difference, and each factor is formed as -expm1(a + m lq).
     """
     if (re_max := float(a.real.max(initial=-np.inf))) > 690:
         raise DomainError("argument too far from the pole-free region (overflow)")
     ln_theta, coef, bound = _euler_series(complex(lq), float(tol))
-    alpha = -lq.real
-    M = np.maximum(np.ceil((a.real - ln_theta) / alpha), 0.0)
-    n_head = math.ceil(max(0.0, (re_max - ln_theta) / alpha))  # max(M)
-    # J = ceil(Re a / alpha) less a margin, so that a rounded imaginary a (Re a ~ 1e-17)
-    # keeps J = 0 and its batch the one-anchor path
-    n_hi = math.ceil(max(0.0, re_max / alpha - _J_MARGIN))  # max(J)
-    # with factors of modulus > 1 the anchors cost about as much as _ANCHOR_COST[0] direct
-    # factors per point plus _ANCHOR_COST[1] per call; a batch that they would save less
-    # forms each factor by its own expm1 (so does a single point with a head of up to
-    # sum(_ANCHOR_COST) factors)
-    direct = n_hi > 0 and a.size * (n_head - _ANCHOR_COST[0]) <= _ANCHOR_COST[1]
-    if direct:
-        n_hi = 0
-    A, n_A, n_lo = a, M, n_head  # n_A: factors in the range of A, per point
-    if n_hi:
-        J = np.maximum(np.ceil(a.real / alpha - _J_MARGIN), 0.0)
-        A, C, n_A = a + J * lq, a + np.maximum(J - 1.0, 0.0) * lq, M - J
-        n_lo = int(n_A.max())
-    ex1, inv = _head_tables(complex(lq), max(n_lo, n_hi), n_hi)
-    chunk = max(16, 2**16 // (n_lo + n_hi + coef.size))  # ~2^16 elements per (chunk, K) work array
+    M = np.maximum(np.ceil((a.real - ln_theta) / -lq.real), 0.0)
+    m = np.arange(math.ceil(max(0.0, (re_max - ln_theta) / -lq.real)))  # up to max(M)
+    anchored = re_max <= _ANCHOR_RE_MAX
+    if anchored and m.size:
+        ex1 = _expm1_table(complex(lq), m.size)
+    chunk = max(16, 2**16 // (m.size + coef.size))  # ~2^16 elements per (chunk, K) work array
     out = np.empty(a.shape, dtype=complex)
     for i0 in range(0, a.size, chunk):
-        s = slice(i0, i0 + chunk)
-        W = np.repeat(np.exp(a[s] + M[s] * lq)[:, None], coef.size, axis=1)
+        ac, Mc = a[i0:i0 + chunk], M[i0:i0 + chunk]
+        W = np.repeat(np.exp(ac + Mc * lq)[:, None], coef.size, axis=1)
         # einsum, not a BLAS matrix-vector product: a threaded BLAS wakes its
         # threads for this (n, K) shape and takes milliseconds instead of microseconds
-        out[s] = np.einsum("ik,k->i", np.cumprod(W, axis=1, out=W), coef)
-        if not n_head:
+        out[i0:i0 + chunk] = np.einsum("ik,k->i", np.cumprod(W, axis=1, out=W), coef)
+        if not m.size:
             continue
-        if direct:
-            m = np.arange(n_head)
-            fac = -np.expm1(np.where(m < M[s, None], a[s, None] + m * lq, -800.0))
+        if anchored:
+            xa = np.expm1(ac)[:, None]
+            fac = np.multiply(-1.0 - xa, ex1)
+            np.subtract(fac, xa, out=fac)
+            if a.size > 1:  # a point's columns past its own M hold factors 1
+                np.copyto(fac, 1.0, where=m >= Mc[:, None])
         else:
-            fac = np.empty((W.shape[0], n_lo + n_hi), dtype=complex)
-            lo, hi = fac[:, :n_lo], fac[:, n_lo:]
-            xa = np.expm1(A[s])[:, None]
-            np.subtract(np.multiply(-1.0 - xa, ex1[:n_lo], out=lo), xa, out=lo)
-            if n_hi:
-                np.multiply(np.subtract(ex1[:n_hi], np.expm1(C[s])[:, None], out=hi), inv, out=hi)
-            if a.size > 1:  # a point's columns past its own factor counts hold factors 1
-                np.copyto(lo, 1.0, where=np.arange(n_lo) >= n_A[s, None])
-                if n_hi:
-                    np.copyto(hi, 1.0, where=np.arange(n_hi) >= J[s, None])
+            fac = -np.expm1(np.where(m < Mc[:, None], ac[:, None] + m * lq, -800.0))
         mag = np.abs(fac)
         if poles and mag.min() < _POLE_FACTOR_EPS:
             raise PoleError("argument numerically on the pole lattice of G_b")
         # log|f| + i arg f in real arithmetic, many times faster than complex log
-        out[s] += np.log(mag).sum(axis=1) + 1j * np.arctan2(fac.imag, fac.real).sum(axis=1)
+        out[i0:i0 + chunk] += np.log(mag).sum(axis=1) + 1j * np.arctan2(fac.imag, fac.real).sum(axis=1)
     return out, bound + _EPS * float(np.abs(out).max(initial=0.0))
 
 

@@ -98,20 +98,20 @@ def test_gb_product_error_estimate_bounds_oracle(b2, re, im, tol):
 
 @pytest.mark.parametrize("b2", [0.3 + 0.4j, 0.5j, -0.4 + 0.3j])
 def test_gb_product_bounds_oracle_past_unit_modulus(b2):
-    # |Re x|, |Im x| <= 6, where Re a of the q-Pochhammer arguments reaches about
-    # +40: head factors 1 - e^{a + m lq} of modulus far above 1.  A point alone with such
-    # factors forms each by its own expm1; the points repeated 24 times take the head's
-    # two anchors, one on each side of |e^{a + m lq}| = 1
+    # |Re x|, |Im x| <= 6, where Re a of the q-Pochhammer arguments runs from about -40
+    # to +40.  A point alone whose head factors all have |e^{a + m lq}| <= 1 takes the head
+    # anchored at m = 0; the others, and the batch, form each factor by its own expm1
+    # (anchored at m = 0 with |e^a| >> 1, a factor loses up to all its digits)
     p = from_b2(b2)
     rng = np.random.default_rng(75)
     xs = rng.uniform(-6.0, 6.0, 25) + 1j * rng.uniform(-6.0, 6.0, 25)
-    batched = qd.gb_many(np.tile(xs, 24), p)
+    batched = qd.gb_many(xs, p)
     for x, v in zip(xs, batched):
         g = qd.gb(x, p)
         ref = _oracle_product(x, p.b)
         for value in (g.value, v):
             assert abs(value - ref) <= g.err_estimate + 1e-13 * abs(ref), x
-    # the pole at x = 0, where the factor 1 - e^{2 pi i b x} ~ 6e-9 is an anchor
+    # the pole at x = 0, where the head's first factor 1 - e^{2 pi i b x} is ~ 6e-9
     # (tol 1e-13: at the default tol the series remainder alone reaches 1e-13)
     for phi in np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False):
         x = 1e-9 * np.exp(1j * phi)

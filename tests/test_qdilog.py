@@ -42,20 +42,23 @@ def test_gb_value_independent_of_batchmates():
         for x, v in zip(xs, batched):
             alone = qd.gb_many(np.array([x]), p)[0]
             assert abs(alone - v) / abs(alone) < 1e-13
-    # product backend over more than one chunk: at r = 0.01 each point's head is about
-    # 20 factors of modulus <= 1 plus J = ceil(-Re u) of modulus > 1, up to 30 here, so
-    # a chunk holds about 900 points and the 2000 take three; Re u > 0 has J = 0, and
-    # M varies with Re u
+    # product backend over more than one chunk, at r = 0.01: for Re u in [0.2, 3] every
+    # head factor has modulus <= 1 (the head anchored at m = 0), M is 18 to 20 and a chunk
+    # holds about 1640 points; Re u in [-30, -0.2] adds factors of modulus > 1 (each then
+    # formed by its own expm1) and M up to 51, and a mixed batch's chunk holds about 920
     p = from_r(0.01)
     rng = np.random.default_rng(600)
-    re = np.concatenate([rng.uniform(0.2, 3.0, 1000), rng.uniform(-30.0, -0.2, 1000)])
-    xs = p.b * rng.permutation(re + 1j * rng.uniform(-0.5, 0.5, 2000))
+    re = np.concatenate([rng.uniform(0.2, 3.0, 2000), rng.uniform(-30.0, -0.2, 1000)])
+    xs = p.b * (re + 1j * rng.uniform(-0.5, 0.5, 3000))
     alone = np.array([qd.gb_many(np.array([x]), p)[0] for x in xs])
-    assert np.max(np.abs(qd.gb_many(xs, p) - alone) / np.abs(alone)) < 1e-13
-    # the last point of a batch one longer than its chunk is alone in its chunk, and
-    # its head may be shorter than its batchmates'
-    last = np.array([qd.gb_many(xs[:n + 1], p)[-1] for n in range(850, 1000)])
-    assert np.max(np.abs(last - alone[850:1000]) / np.abs(alone[850:1000])) < 1e-13
+    for idx in (np.arange(2000), rng.permutation(3000)):
+        assert np.max(np.abs(qd.gb_many(xs[idx], p) - alone[idx]) / np.abs(alone[idx])) < 1e-13
+    # the last point of an anchored batch one longer than its chunk is alone in its
+    # chunk: here it has M = 18, its batchmates up to 20
+    x = p.b * (2.9 + 0.1j)
+    last = np.array([qd.gb_many(np.append(xs[:n], x), p)[-1] for n in range(1620, 1660)])
+    alone = qd.gb_many(np.array([x]), p)[0]
+    assert np.max(np.abs(last - alone)) / abs(alone) < 1e-13
 
 
 @pytest.mark.parametrize("b", [0.7, 1.3])
