@@ -18,7 +18,10 @@ Likewise the latency of the quantum kernel limit: the median in-process
 perfbench's quantum ``ladder-kernel`` stratum draws them, each at every r of its
 schedule, the best of KERNEL_ROUNDS.  Then a size sweep times ``gb_many`` at
 SWEEP_SIZES points in three regimes (real b, generic b^2, and b^2 = i r at
-r = 1e-3, where the product's head is long),
+r = 1e-3, where the product's head is long): single points, small batches
+(8 points is where the integral backend's table path starts, 64 the
+q-binomial residue batch), and the suites' common 1,152-point and gb-eval's
+largest 1,584-point real-b requests,
 with one BLAS thread and with the library's default threading: each round
 runs the parent and the change as fresh subprocesses in alternating order,
 and the best of SWEEP_ROUNDS rounds is kept per side.  Then, seed by seed
@@ -70,7 +73,7 @@ LAYERS = {m["name"]: m["unit"] for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["per_layer"]}
 VERIFY_SUITES = ("limits", "classical-rep", "q-intertwiner", "all")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-SWEEP_SIZES, SWEEP_ROUNDS = (1, 4, 32, 128, 1152), 7
+SWEEP_SIZES, SWEEP_ROUNDS = (1, 4, 8, 32, 64, 128, 1152, 1584), 7
 # One child of the size sweep: per regime and size, the best over 5 repeats of the
 # mean time of gb_many on one seeded batch, the repeats long enough for ~20 ms each.
 # Points as in perfbench's gb-eval batches: real b = 0.8 with Re x in [-3, Q + 3],

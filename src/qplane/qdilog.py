@@ -12,9 +12,9 @@ Two backends realize the same meromorphic function:
   (geometric convergence: the integrand is analytic in the strip
   |Im y| < pi min(b, 1/b, 1)), with functional-equation continuation out of
   the convergence strip.  The nodes of a level form an arithmetic progression,
-  so e^{2i y z} over n_y nodes factors through a table of about 2 sqrt(n_y)
-  exponentials per point and a small matrix product, instead of n_y
-  exponentials and reciprocals.
+  so e^{2i y z} over n_y nodes factors through three exponentials per point,
+  a table of about 2 sqrt(n_y) of their powers filled by doubling, and a small
+  matrix product, instead of n_y exponentials and reciprocals.
 
 Both backends form log G_b (``_gb_eval``); ``gb_many`` and ``gb`` take its
 exponential, so a value that over- or underflows is told from a zero of G_b.
@@ -54,8 +54,8 @@ _MAX_HALVINGS = 5  # trapezoid step halvings per |Re z| band of the integral bac
 _SINH2_CUTOFF = 20.0  # y beyond which the sinh^-2 subtraction (~4 e^{-2y}) is dropped
 _BAND_EDGES = (0.0, 2.0, 4.0, 8.0, 16.0, 32.0, np.inf)  # |Re z| bands of the integral backend
 # nodes x points up to which the integral backend's node sum forms every e^{2i y z}
-# rather than its exponential table (the crossover measured at 200-400)
-_DIRECT_MAX = 256
+# rather than its exponential table (the crossover measured at 600-1000)
+_DIRECT_MAX = 1024
 
 
 # backends in the order a product reports them: a product of factors reports the first
@@ -212,10 +212,12 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
     Returns the values and the largest such difference as the error estimate.
 
     A level's n_y new nodes y_k = h (1 + step k) are summed through a table:
-    with m = ceil(sqrt(n_y)) and k = a m + c, e^{2i y_k z} = T_a C_c, so each
-    point takes ceil(n_y/m) + m exponentials and reciprocals (20 instead of 100
-    at n_y = 100) and the rest is an (n_a x m) @ (m x points) product.  Below
-    _DIRECT_MAX nodes x points the n_y exponentials are formed directly.
+    with m = ceil(sqrt(n_y)) and k = a m + c, e^{2i y_k z} = T_0 R_T^a R_C^c
+    with T_0 = e^{2i h z}, R_T = e^{2i h step m z} and R_C = e^{2i h step z}, so
+    each point takes three exponentials and reciprocals (3 instead of 100 at
+    n_y = 100), the ceil(n_y/m) + m powers are products filled by doubling, and
+    the rest is an (n_a x m) @ (m x points) product.  Up to _DIRECT_MAX
+    nodes x points the n_y exponentials are formed directly.
     """
     _require_tol(tol)
     Q = b + 1.0 / b
@@ -230,9 +232,9 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
 
     def node_sum(zz, h, n, n_sub, step):
         # bracket summed over y_k = h (1 + step k), k < n_y; the z-independent
-        # sinh^-2 term (decay e^{-2y}) runs to n_sub >= n nodes.  T_a = e^{2i y_{am} z},
-        # C_c = e^{2i h step c z} and pref zero-padded to P (n_a x m) give
-        # sum_k pref_k (E_k - 1/E_k) = sum_a [T_a (P C)_a - T_a^-1 (P C^-1)_a]
+        # sinh^-2 term (decay e^{-2y}) runs to n_sub >= n nodes.  E_k = T_0 R_T^a C_c
+        # (k = a m + c, C_c = R_C^c) and pref zero-padded to P (n_a x m) give
+        # sum_k pref_k (E_k - 1/E_k) = T_0 sum_a R_T^a (P C)_a - T_0^-1 sum_a R_T^-a (P C^-1)_a
         ys = h * np.arange(1, n_sub + 1, step)
         sub = float((np.sinh(ys) ** -2.0).sum())
         n_y = (n - 1) // step + 1
@@ -245,22 +247,30 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
         if zz.size * n_y <= _DIRECT_MAX:  # the table's set-up costs more than it saves
             E = np.exp(np.multiply.outer(y, 2j * zz))
             return pref @ (E - 1.0 / E) - sub * zz
-        rows = np.empty(n_a + m)
-        rows[:n_a] = y[::m]
-        np.multiply(h * step, np.arange(m), out=rows[n_a:])
+        base = 2j * h * np.array([1.0, step * m, step])  # 2i times the y of T_0, R_T and R_C
         out = np.empty(zz.shape, dtype=complex)
         # each table product (n_a x m) @ (m x 2 chunk) stays at 2^16 multiply-adds, below
-        # where a threaded BLAS wakes its threads (milliseconds), and its table in cache
-        chunk = max(16, 32768 // (n_a * m))
+        # where a threaded BLAS wakes its threads (milliseconds), and the table at 2^13 values
+        chunk = max(16, min(32768 // (n_a * m), 2048 // m))
         for i0 in range(0, zz.size, chunk):
             zc = zz[i0:i0 + chunk]
-            V = np.empty((rows.size, 2, zc.size), dtype=complex)  # [E, 1/E] per row
-            np.exp(np.multiply.outer(rows, 2j * zc), out=V[:, 0])
-            np.divide(1.0, V[:, 0], out=V[:, 1])
-            W = V[:n_a].reshape(n_a, -1)  # [T, 1/T]
-            W *= P @ V[n_a:].reshape(m, -1)
-            s = W.sum(axis=0)
-            out[i0:i0 + chunk] = s[:zc.size] - s[zc.size:] - sub * zc
+            c = zc.size
+            E = np.empty((3, 2, c), dtype=complex)  # [T_0, R_T, R_C], each with its reciprocal
+            np.exp(np.multiply.outer(base, zc), out=E[:, 0])
+            np.divide(1.0, E[:, 0], out=E[:, 1])
+            # row j of X is R^j, R = [R_T, 1/R_T, R_C, 1/R_C]: with rows [0, j] filled, rows
+            # (j, 2j] are rows (0, j] times R^j, so rounding grows with log2 m, not with m
+            X = np.empty((m, 4 * c), dtype=complex)
+            X[0] = 1.0
+            X[1] = E[1:].reshape(-1)
+            j = 1
+            while j < m - 1:
+                np.multiply(X[1:min(j, m - 1 - j) + 1], X[j], out=X[j + 1:2 * j + 1])
+                j *= 2
+            W = X[:n_a, :2 * c]  # [R_T^a, R_T^-a]
+            W *= P @ X[:, 2 * c:]
+            s = W.sum(axis=0) * E[0].reshape(-1)  # times [T_0, 1/T_0]
+            out[i0:i0 + chunk] = s[:c] - s[c:] - sub * zc
         return out
 
     total = np.empty(flat.shape, dtype=complex)

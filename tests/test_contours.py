@@ -260,10 +260,10 @@ GRID_PINS = [
     ("0x1.20414d881d2f7p-1", "0x1.88faf8486880ap-3"),
     ("0x1.2a5792a05d38cp-1", "0x1.024fddfe1c983p-1"),
     ("0x1.3736afa242f1dp-3", "0x1.ae1220bce495dp-4"),
-    ("0x1.eb3e02d423db2p-3", "0x1.31b38f9492680p-1"),
-    ("0x1.6a5a4d0e64abep-1", "0x1.2367031462748p-4"),
-    ("0x1.75b730dc8adb8p-4", "0x1.5444c66ce31d8p-2"),
-    ("0x1.aff4d5b822766p-1", "0x1.3702337a563fep-4"),
+    ("0x1.eb3e02d423dafp-3", "0x1.31b38f9492680p-1"),
+    ("0x1.6a5a4d0e64abdp-1", "0x1.2367031462752p-4"),
+    ("0x1.75b730dc8adb6p-4", "0x1.5444c66ce31dap-2"),
+    ("0x1.aff4d5b82276ap-1", "0x1.3702337a563fep-4"),
     ("0x1.768e9a3925fe3p-1", "-0x1.46237a1ead8c4p-1"),
 ]
 

@@ -61,17 +61,55 @@ def test_gb_value_independent_of_batchmates():
     assert np.max(np.abs(last - alone)) / abs(alone) < 1e-13
 
 
-@pytest.mark.parametrize("b", [0.7, 1.3])
-def test_large_real_b_batch_matches_single_points(b):
+@pytest.mark.parametrize("b, n, im_max, tol, bound", [
+    pytest.param(0.7, 1152, 1.5, 1e-10, 1e-13, id="0.7"),
+    pytest.param(1.3, 1152, 1.5, 1e-10, 1e-13, id="1.3"),
+    # the longest progressions: |Re z| = |Im x| up to 8, bands to 8, tol 1e-12
+    pytest.param(0.3, 600, 8.0, 1e-12, 5e-13, id="0.3-wide"),
+    pytest.param(2.0, 600, 8.0, 1e-12, 2e-13, id="2.0-wide"),
+])
+def test_large_real_b_batch_matches_single_points(b, n, im_max, tol, bound):
     # 1,152 points, the suites' most common request: the batch sums its nodes
     # through the exponential table, a single point through every e^{2i y z}
     p = from_b(b)
+    rng = np.random.default_rng(n)
+    re = rng.uniform(-3.0, p.Q.real + 3.0, n)
+    x = re + 1j * rng.choice((-1.0, 1.0), n) * rng.uniform(0.15, im_max, n)
+    batched = qd.gb_many(x, p, tol)
+    alone = np.array([qd.gb(v, p, tol).value for v in x])
+    assert np.max(np.abs(batched - alone) / np.abs(alone)) < bound
+
+
+def test_integral_table_takes_three_exponentials_per_point(monkeypatch):
+    # the table path of the node sum takes e^{2i y z} at three y per point (T_0, R_T, R_C)
+    # and builds the rest by products; 1,152 points in the first |Re z| band, two levels
     rng = np.random.default_rng(1152)
-    re = rng.uniform(-3.0, p.Q.real + 3.0, 1152)
-    x = re + 1j * rng.choice((-1.0, 1.0), 1152) * rng.uniform(0.15, 1.5, 1152)
-    batched = qd.gb_many(x, p)
-    alone = np.array([qd.gb(v, p).value for v in x])
-    assert np.max(np.abs(batched - alone) / np.abs(alone)) < 1e-13
+    z = rng.choice((-1.0, 1.0), 1152) * rng.uniform(0.15, 1.5, 1152) + 1j * rng.uniform(-0.4, 0.4, 1152)
+    shapes = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda a, *args, **kw: shapes.append(np.shape(a)) or exp(a, *args, **kw))
+    qd._g_line_integral(z, 0.8, 1e-10)
+    monkeypatch.undo()
+    assert all(s[0] == 3 for s in shapes)  # no exponential per table row
+    assert sum(int(np.prod(s)) for s in shapes) == 3 * 1152 * 2  # 3 per point per level
+
+
+def test_integral_batch_memory_is_bounded():
+    # the node sum's table is chunked to 2^13 complex values: one call on 864 points of
+    # gb-eval's real-b draw peaked at 855 KB when only the multiply-adds bounded a chunk
+    import tracemalloc
+
+    p = from_b(0.8)
+    rng = np.random.default_rng(864)
+    x = rng.uniform(-3.0, p.Q.real + 3.0, 864) + 1j * rng.choice((-1.0, 1.0), 864) * rng.uniform(0.15, 1.5, 864)
+    qd.gb_many(x, p)
+    tracemalloc.start()
+    try:
+        qd.gb_many(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 700_000
 
 
 def test_gb_many_empty_batch():
