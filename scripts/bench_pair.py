@@ -12,7 +12,13 @@ FRESH_RUNS alternating runs of ``python -m qplane.cli`` FRESH_ARGV in a fresh
 interpreter, all with one BLAS thread.  Then the latency of the classical
 forward op: the median in-process ``axb.intertwiner_forward`` time over
 FORWARD_OPS seeded ops drawn as perfbench's classical ``forward`` stratum
-draws them, the best of FORWARD_ROUNDS alternating fresh processes per side.
+draws them, the best of FORWARD_ROUNDS alternating fresh processes per side,
+and the same ops timed in one interpreter: both checkouts' ``src/qplane``
+copied into a temporary directory as ``qplane_parent`` and ``qplane_change``,
+FORWARD_AB_PAIRS pairs of passes over the ops on alternating sides, with the
+median of the per-pair ratios and the number of pairs in which the change
+reads lower (``forward_ab``), which resolves a few percent on this
+sub-millisecond call where the best of fresh processes does not.
 Likewise the latency of the quantum kernel limit: the median in-process
 ``qtransform.kernel_limit_residual`` time over KERNEL_OPS seeded ladders drawn as
 perfbench's quantum ``ladder-kernel`` stratum draws them, each at every r of its
@@ -58,6 +64,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -174,6 +181,49 @@ for f, lam, t in ops:
     axb.intertwiner_forward(f, lam, t)
     times.append(time.perf_counter() - t0)
 print(json.dumps(statistics.median(times)))
+"""
+# The child of the interleaved forward comparison: both checkouts' src/qplane load in one
+# interpreter as qplane_parent and qplane_change (their modules import each other
+# relatively), each side draws the FORWARD_CHILD ops with its own ClassWFunction, and each
+# of FORWARD_AB_PAIRS pairs times one pass over the ops on either side, in alternating
+# order: the medians per pass, the median of the per-pair ratios change/parent, the number
+# of pairs in which the change is lower, and whether both sides return the same values.
+FORWARD_AB_PAIRS = 30
+FORWARD_AB_CHILD = """
+import importlib, json, statistics, sys, time
+import numpy as np
+sides = ("parent", "change")
+axb = {side: importlib.import_module(f"qplane_{side}.axb") for side in sides}
+classw = {side: importlib.import_module(f"qplane_{side}.classw") for side in sides}
+def draw(side):
+    rng = np.random.default_rng(11)
+    ops = []
+    for _ in range(int(sys.argv[1])):
+        a1, a2 = rng.uniform(0.8, 1.5, 2)
+        c1, c2 = rng.uniform(-0.3, 0.3, 2)
+        W = classw[side].ClassWFunction
+        g1, g2 = W.gaussian(a=a1, b=c1), W.gaussian(a=a2, b=c2)
+        ops.append((lambda u, v, g1=g1, g2=g2: g1(u) * g2(v),
+                    float(rng.uniform(-0.4, 0.5)), float(rng.uniform(0.2, 1.2))))
+    return ops
+ops = {side: draw(side) for side in sides}
+values = {side: [axb[side].intertwiner_forward(*op) for op in ops[side]] for side in sides}  # also the warm-up
+def one_pass(side):
+    forward, times = axb[side].intertwiner_forward, []
+    for f, lam, t in ops[side]:
+        t0 = time.perf_counter()
+        forward(f, lam, t)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+medians = {side: [] for side in sides}
+for i in range(int(sys.argv[2])):
+    for side in (sides if i % 2 == 0 else sides[::-1]):
+        medians[side].append(one_pass(side))
+ratios = [c / p for p, c in zip(medians["parent"], medians["change"])]
+print(json.dumps({**{side: statistics.median(medians[side]) for side in sides},
+                  "ratio_median": statistics.median(ratios),
+                  "change_lower_in": sum(r < 1 for r in ratios),
+                  "same_values": values["parent"] == values["change"]}))
 """
 # One child of the kernel latency: the median seconds of an in-process
 # qtransform.kernel_limit_residual call over KERNEL_OPS seeded ladders of perfbench's
@@ -334,6 +384,21 @@ def call_latency(roots: dict, name: str, child: str, rounds: int, ops: int) -> d
     return result
 
 
+def forward_ab(roots: dict) -> dict:
+    """The interleaved in-process comparison of ``axb.intertwiner_forward``
+    (FORWARD_AB_CHILD), with one BLAS thread."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, root in roots.items():
+            shutil.copytree(root / "src/qplane", Path(tmp) / f"qplane_{side}")
+        proc = subprocess.run([sys.executable, "-c", FORWARD_AB_CHILD, str(FORWARD_OPS), str(FORWARD_AB_PAIRS)],
+                              env={**os.environ, **ENV, "PYTHONPATH": tmp},
+                              capture_output=True, text=True, check=True)
+    result = {"unit": "s per intertwiner_forward call, median per pass", "pairs": FORWARD_AB_PAIRS,
+              "ops": FORWARD_OPS, **json.loads(proc.stdout)}
+    print(f"interleaved forward: {result}", flush=True)
+    return result
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, str]:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
                            str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -462,6 +527,7 @@ def main(argv=None) -> int:
         "eval_latency": eval_latency(roots),
         "forward_latency": call_latency(roots, "intertwiner_forward", FORWARD_CHILD,
                                         FORWARD_ROUNDS, FORWARD_OPS),
+        "forward_ab": forward_ab(roots),
         "kernel_latency": call_latency(roots, "kernel_limit_residual", KERNEL_CHILD,
                                        KERNEL_ROUNDS, KERNEL_OPS),
         "size_sweep": {"sizes": SWEEP_SIZES, "rounds": SWEEP_ROUNDS, "unit": "s per gb_many call",

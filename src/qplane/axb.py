@@ -18,12 +18,12 @@ v = 0 on, and the weight is evaluated on half the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .contours import auto_detours, contour_nodes, integrate_contour
+from .contours import Contour, _detours, auto_detours, contour_nodes, integrate_contour
 from .errors import DomainError
 from .gammafn import gamma
 from .qdilog import QDValue
@@ -199,8 +199,8 @@ def _separating_contour(s: complex, truncation: float):
     (shared by both transforms).  The full contour is point-symmetric: its
     detours sit at +-s/2 with one radius, or the line clears both heads."""
     s = complex(s)
-    return replace(auto_detours([(-s / 2, "above"), (s / 2, "below")], truncation=truncation),
-                   start=0.0)
+    detours, cleared = _detours([(-s / 2, "above"), (s / 2, "below")], truncation, 0.0)
+    return Contour(0.0, detours, truncation, cleared=cleared, start=0.0)
 
 
 class KernelFamily(NamedTuple):
@@ -231,7 +231,7 @@ class KernelFamily(NamedTuple):
 
     def weight(self, s):
         """v -> K(i v - i s/2) K(-i v - i s/2) / norm(s), the norm evaluated once."""
-        norm = (self.const * self.at(-1j * s)).value
+        norm = self.const * self.at(-1j * s).value
         return lambda v: self.pair(v - s / 2, v + s / 2) / norm
 
     @staticmethod

@@ -23,15 +23,11 @@ from .errors import DomainError, QuadratureError
 # class-W algebra
 
 
-def _poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _poly_eval(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z, dtype=complex)
     for c in coeffs[::-1]:
         out = out * z + c
     return out
-
-
-def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
 
 
 def _poly_affine(p: np.ndarray, a: complex, b: complex) -> np.ndarray:
@@ -41,7 +37,7 @@ def _poly_affine(p: np.ndarray, a: complex, b: complex) -> np.ndarray:
     power = np.ones(1, dtype=complex)
     for c in p:
         out = np.polynomial.polynomial.polyadd(out, c * power)
-        power = _poly_mul(power, lin)
+        power = np.convolve(power, lin)
     return out
 
 
@@ -69,13 +65,15 @@ class ClassWFunction:
     def __call__(self, z) -> np.ndarray | complex:
         zz = np.asarray(z, dtype=complex)
         scalar = zz.ndim == 0
-        zz = np.atleast_1d(zz)
+        zz = zz.reshape(1) if scalar else zz  # numpy's scalar arithmetic rounds differently
         out = None
         for t in self.terms:
-            poly = np.asarray(t.poly, dtype=complex)
-            # Horner gives a constant P as 0 z + c = c at every point: multiply by c
-            values = poly[0] if poly.size == 1 else _poly_eval(poly, zz)
-            term = np.exp(-t.a * zz**2 + t.b * zz) * values
+            term = np.exp(-t.a * zz**2 + t.b * zz)
+            # Horner gives a constant P as c: multiply by c, unless 1 (out of place, as before)
+            if len(t.poly) > 1:
+                term = term * _poly_eval(t.poly, zz)
+            elif t.poly != (1,):
+                term = term * complex(t.poly[0])
             if out is None:
                 out = term
             else:

@@ -14,6 +14,9 @@ meets and toward the poles it clears by less than the panel cap
 them bisected at every fixed level.  A segment graded at one end only
 doubles its panels out to the other end; the cap bounds the panels only on
 segments graded at both ends (a pinch) or at neither.
+Every call rebuilds the table, so the build is lean: one construction of the
+contour (``_detours`` gives ``auto_detours``' detours to any builder), one pass
+of ``_pieces`` over the path, and Python floats until the five arrays form.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
@@ -109,7 +112,7 @@ def _require_vector_fn(f: ComplexFn, z: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(z), dtype=complex)
     if vals.shape != z.shape:
         raise TypeError("integrand must be vectorized over complex arrays")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("integrand returned non-finite values on the contour")
     return vals
 
@@ -156,80 +159,67 @@ def _pieces(contour: Contour) -> list[tuple]:
     pieces.  d0 and d1 are the distances of a segment's ends to the poles its
     panels are graded toward (inf when there is none): the pole of the detour
     the end meets, and the cleared poles nearer than _MAX_PANEL to the line,
-    at whose feet the line is cut."""
-    c = contour.imag_shift
-    T = contour.truncation
-    d = 1.0 + 1j * contour.slope
+    at whose feet the line is cut.  Segments shorter than 1e-15 are dropped."""
+    c, T = 1j * contour.imag_shift, contour.truncation
+    d = 1.0 + 1j * contour.slope  # the line is z = c + d u
     phi = math.atan2(contour.slope, 1.0)
-
     dets = sorted(contour.detours, key=lambda dt: dt.pole.real)
     for a, b in zip(dets, dets[1:]):
         if b.pole.real - a.pole.real < a.radius + b.radius:
             raise DomainError("overlapping detours")
-
-    def line_point(u: float) -> complex:
-        return 1j * c + d * u
-
-    def foot(p: complex) -> float:
-        return ((p - 1j * c) / d).real  # parameter of the pole's foot on the line
-
-    near = [p for p in contour.cleared if abs(p - line_point(foot(p))) < _MAX_PANEL]
-    cuts = sorted(foot(p) for p in near)
-
-    def dist(z: complex, pole: complex | None) -> float:
-        return min([abs(z - q) for q in near] + ([] if pole is None else [abs(z - pole)]),
-                   default=math.inf)
-
-    def seg(z0: complex, z1: complex, p0: complex | None, p1: complex | None) -> tuple:
-        return ("seg", z0, z1, dist(z0, p0), dist(z1, p1))
-
-    def line(u0: float, u1: float, p0: complex | None, p1: complex | None) -> list[tuple]:
-        ends = [u0, *(u for u in cuts if u0 < u < u1), u1]
-        poles = [p0] + [None] * (len(ends) - 2) + [p1]
-        return [seg(line_point(a), line_point(b), pa, pb)
-                for a, b, pa, pb in zip(ends, ends[1:], poles, poles[1:])]
-
+    near = [p for p in contour.cleared if abs(p - (c + d * ((p - c) / d).real)) < _MAX_PANEL]
+    cuts = sorted(((p - c) / d).real for p in near)  # the parameters of their feet
     pieces: list[tuple] = []
+
+    def seg(z0: complex, z1: complex, p0: complex | None, p1: complex | None) -> None:
+        if not abs(z0 - z1) < 1e-15:
+            d0 = math.inf if p0 is None else abs(z0 - p0)
+            d1 = math.inf if p1 is None else abs(z1 - p1)
+            for q in near:
+                d0, d1 = min(d0, abs(z0 - q)), min(d1, abs(z1 - q))
+            pieces.append(("seg", z0, z1, d0, d1))
+
+    def line(u0: float, u1: float, p0: complex | None, p1: complex | None) -> None:
+        if not cuts:  # the common case: one segment
+            seg(c + d * u0, c + d * u1, p0, p1)
+            return
+        ends = [u0, *(u for u in cuts if u0 < u < u1), u1]
+        for k in range(len(ends) - 1):
+            seg(c + d * ends[k], c + d * ends[k + 1], p0 if k == 0 else None,
+                p1 if k == len(ends) - 2 else None)
+
     u_prev, p_prev = -T if contour.start is None else contour.start, None
     for dt in dets:
-        u_p = foot(dt.pole)
-        above = dt.side == "above"
-        off = contour._offset(dt.pole)
-        needs_leg = abs(off) > 1e-12
+        pole, r = dt.pole, dt.radius
         # entry/exit in parameter units so segment ends meet the arc exactly
-        du = dt.radius / abs(d)
+        du = r / abs(d)
+        u_p = ((pole - c) / d).real
         u_in, u_out = u_p - du, u_p + du
         if u_out <= u_prev:
             continue  # before the start of the path
         if u_in < u_prev - 1e-12:
             raise DomainError("detour extends beyond previous piece")
-        pieces.extend(line(u_prev, u_in, p_prev, dt.pole))
-        if needs_leg:
+        line(u_prev, u_in, p_prev, pole)
+        if abs(contour._offset(pole)) > 1e-12:
             # vertical legs from the line up/down to the pole's height
-            entry = line_point(u_in)
-            exitp = line_point(u_out)
-            leg_in = dt.pole - dt.radius
-            leg_out = dt.pole + dt.radius
-            pieces.append(seg(entry, leg_in, dt.pole, dt.pole))
-            if above:
-                pieces.append(("arc", dt.pole, dt.radius, math.pi, 0.0))
-            else:
-                pieces.append(("arc", dt.pole, dt.radius, math.pi, 2 * math.pi))
-            pieces.append(seg(leg_out, exitp, dt.pole, dt.pole))
+            seg(c + d * u_in, pole - r, pole, pole)
+            pieces.append(("arc", pole, r, math.pi, 0.0 if dt.side == "above" else 2 * math.pi))
+            seg(pole + r, c + d * u_out, pole, pole)
         else:
-            if above:
-                pieces.append(("arc", dt.pole, dt.radius, phi + math.pi, phi))
-            else:
-                pieces.append(("arc", dt.pole, dt.radius, phi + math.pi, phi + 2 * math.pi))
-        u_prev, p_prev = u_out, dt.pole
-    pieces.extend(line(u_prev, T, p_prev, None))
-    return [p for p in pieces if not (p[0] == "seg" and abs(p[1] - p[2]) < 1e-15)]
+            pieces.append(("arc", pole, r, phi + math.pi, phi if dt.side == "above" else phi + 2 * math.pi))
+        u_prev, p_prev = u_out, pole
+    line(u_prev, T, p_prev, None)
+    return pieces
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """The n + 1 edges ``np.linspace(lo, hi, n + 1)`` gives, as a list of floats."""
-    step = (hi - lo) / n
-    return [k * step + lo for k in range(n)] + [hi]
+def _graded_run(dist: float, cap: float, room: float) -> list[float]:
+    """The edges 0, dist, 3 dist, ..., dist (2^j - 1) of the panels of width
+    dist 2^(j-1) < cap whose edges stay inside the room."""
+    edges, w = [0.0], 1  # w = 2^(j-1)
+    while dist * w < cap and (e := dist * (2 * w - 1)) < room:
+        edges.append(e)
+        w *= 2
+    return edges
 
 
 def _segment_edges(length: float, d0: float, d1: float) -> list[float]:
@@ -247,27 +237,24 @@ def _segment_edges(length: float, d0: float, d1: float) -> list[float]:
     that a run which would fill it exactly, as in a pinch whose detours are
     a quarter of the gap, leaves no sliver; the span between the two runs,
     and a segment with no graded end, get ceil(span / _MAX_PANEL) equal
-    panels.  So the cap bounds the panels only on pinched and ungraded
-    segments; in a pinch the span is at most twice as wide as it is far
-    from the poles.
+    panels (at the edges ``np.linspace`` gives).  So the cap bounds the
+    panels only on pinched and ungraded segments; in a pinch the span is at
+    most twice as wide as it is far from the poles.
     """
-    def run(dist: float, cap: float, room: float) -> list[float]:
-        k = 0  # panels of width dist 2^(k-1) < cap whose edges stay inside the room
-        while dist * 2**k < cap and dist * (2 ** (k + 1) - 1) < room:
-            k += 1
-        return [0.0] + [dist * (2**j - 1) for j in range(1, k + 1)]
-
     if (d0 < _MAX_PANEL) != (d1 < _MAX_PANEL):
-        edges = run(min(d0, d1), math.inf, length)
+        edges = _graded_run(min(d0, d1), math.inf, length)
         if len(edges) > 1 and length - edges[-1] < 0.5 * (edges[-1] - edges[-2]):
             edges.pop()  # a thin remainder joins the panel before it
-        edges = [e / length for e in edges] + [1.0]
-        return edges if d0 < d1 else [1.0 - e for e in edges[::-1]]
+        if d0 < d1:
+            return [e / length for e in edges] + [1.0]
+        return [0.0] + [1.0 - e / length for e in edges[::-1]]
     room = 0.5 * length * (1 - 1e-9)
-    head = [e / length for e in run(d0, _MAX_PANEL, room)]
-    tail = [1.0 - e / length for e in run(d1, _MAX_PANEL, room)][::-1]
-    n = max(1, math.ceil((tail[0] - head[-1]) * length / _MAX_PANEL))
-    return head[:-1] + _linspace(head[-1], tail[0], n)[:-1] + tail
+    head = [e / length for e in _graded_run(d0, _MAX_PANEL, room)]
+    tail = [1.0 - e / length for e in _graded_run(d1, _MAX_PANEL, room)[::-1]]
+    lo, hi = head.pop(), tail[0]
+    n = max(1, math.ceil((hi - lo) * length / _MAX_PANEL))
+    step = (hi - lo) / n
+    return head + [k * step + lo for k in range(n)] + tail
 
 
 def _base_panels(pieces: list[tuple], level: int = 0) -> tuple[np.ndarray, ...]:
@@ -281,15 +268,15 @@ def _base_panels(pieces: list[tuple], level: int = 0) -> tuple[np.ndarray, ...]:
     x in [-1, 1].
     """
     a, b, arc, lo, hi = [], [], [], [], []
-    for p in pieces:
-        if p[0] == "seg":
-            e, step = _segment_edges(abs(p[2] - p[1]), p[3], p[4]), p[2] - p[1]
-        else:
-            e, step = _linspace(p[3], p[4], 2), p[2]
+    for kind, z0, z1, d0, d1 in pieces:  # an arc's (c, R, th0, th1) in place of (z0, z1, d0, d1)
+        if kind == "seg":
+            e, step = _segment_edges(abs(z1 - z0), d0, d1), z1 - z0
+        else:  # np.linspace(th0, th1, 3)
+            e, step = [d0, 0.5 * (d1 - d0) + d0, d1], z1
         n = len(e) - 1
-        a += [p[1]] * n
+        a += [z0] * n
         b += [step] * n
-        arc += [p[0] == "arc"] * n
+        arc += [kind == "arc"] * n
         lo += e[:-1]
         hi += e[1:]
     a, b, arc = np.array(a, dtype=complex), np.array(b, dtype=complex), np.array(arc)
@@ -313,19 +300,17 @@ def contour_nodes(contour: Contour, level: int = 0) -> tuple[np.ndarray, np.ndar
     x, w = _GL12
     a, b, arc, mid, half = _base_panels(_pieces(contour), level)
     s = mid[:, None] + half[:, None] * x
+    s = np.exp(1j * s, out=s.astype(complex), where=arc[:, None])  # e^{i th} on the arcs' rows
     z = a[:, None] + b[:, None] * s
-    dz = np.repeat(b[:, None], x.size, axis=1)
-    e = np.exp(1j * s[arc])
-    z[arc] = a[arc, None] + b[arc, None] * e
-    dz[arc] = 1j * b[arc, None] * e
+    dz = np.where(arc[:, None], 1j * b[:, None] * s, b[:, None])
     return z.ravel(), (dz * half[:, None] * w).ravel()
 
 
 def integrate_contour(f: ComplexFn, contour: Contour, tol: float = 1e-10, max_levels: int = 9) -> QuadResult:
     """Integrate ``f`` along the contour by locally adaptive Gauss-Kronrod panels.
 
-    The base panels are the level-0 ``_base_panels``, those of ``contour_nodes``
-    at level 0: graded toward the detoured poles on a segment (``z0 + (z1 -
+    The base panels, built once per call, are those of ``contour_nodes`` at
+    level 0: graded toward the detoured poles on a segment (``z0 + (z1 -
     z0) s``, s in [0, 1]) and 2 per arc (``c + R e^{i th}``).  Each round
     evaluates ``f`` once on the 21 Kronrod nodes of every active panel (the
     array ``f`` returns is scaled in place); a panel is kept when its 21- and 10-point
@@ -337,6 +322,11 @@ def integrate_contour(f: ComplexFn, contour: Contour, tol: float = 1e-10, max_le
     value is the sum of the kept Kronrod values and ``err_estimate`` the sum
     of their differences, each raised to its rounding floor: at most tol.
 
+    Most calls end after one round, which is lean: an arc's rows carry
+    e^{i th} for th (a masked exp), so one ``a + b s`` gives every node and
+    one masked product every arc's dz, and the shares of tol wait for a
+    round that keeps panels.
+
     Raises QuadratureError when a panel is still active after ``max_levels``
     bisections, the next round would pass 4M nodes (non-decaying integrand
     or misplaced detour), or the rounding floors alone add up to more than tol.
@@ -345,22 +335,20 @@ def integrate_contour(f: ComplexFn, contour: Contour, tol: float = 1e-10, max_le
         raise ValueError("tol must be positive")
     x, w = _GK21
     a, b, arc, mid, half = _base_panels(_pieces(contour))
-    bh = np.abs(b * half)  # each panel's share of the contour's half-length
-    dens = tol / float(np.sum(bh))  # tol per unit of contour half-length
-    value, err, left, n_evals = 0j, 0.0, np.inf, 0
+    value, err, left, n_evals, dens = 0j, 0.0, np.inf, 0, None
     for _ in range(max_levels + 1):
         if n_evals + x.size * mid.size > 4_000_000:
             break
         s = mid[:, None] + half[:, None] * x
+        arcs = arc.any()
+        if arcs:  # an arc's rows hold e^{i th} for th = s, so there z = a + b e^{i th}
+            on = arc[:, None]
+            s = np.exp(1j * s, out=s.astype(complex), where=on)
         z = a[:, None] + b[:, None] * s
-        ia = np.flatnonzero(arc)
-        if ia.size:
-            e = np.exp(1j * s[ia])
-            z[ia] = a[ia, None] + b[ia, None] * e
         fj = _require_vector_fn(f, z.ravel()).reshape(z.shape)
         fj *= b[:, None]
-        if ia.size:
-            fj[ia] *= 1j * e  # dz = i R e^{i th} dth
+        if arcs:
+            np.multiply(fj, 1j * s, out=fj, where=on)  # dz = i R e^{i th} dth
         n_evals += z.size
         # einsum, not a BLAS product: a threaded zgemv wakes its threads on every call
         kg = np.einsum("ij,jk->ik", fj, w)
@@ -368,21 +356,24 @@ def integrate_contour(f: ComplexFn, contour: Contour, tol: float = 1e-10, max_le
         diff = np.abs(kg[:, 0] - kg[:, 1])
         # below the rounding of its own sums a panel gains nothing from bisection
         floor = _ROUNDING * np.abs(half) * np.einsum("ij,j->i", np.abs(fj), w[:, 0])
-        done = (diff <= dens * bh) | (diff <= floor)
         diff = np.maximum(diff, floor)
-        total = float(np.sum(diff))
+        total = float(diff.sum())
         if err + total <= tol:  # the whole estimate already meets tol
-            return QuadResult(value + complex(np.sum(kg[:, 0])), err + total, n_evals)
-        value += complex(np.sum(kg[done, 0]))
-        err += float(np.sum(diff[done]))
+            return QuadResult(value + complex(kg[:, 0].sum()), err + total, n_evals)
+        # kept: within its share of tol, the share |b half| of the half-length, or at its floor
+        bh = np.abs(b * half)
+        if dens is None:  # tol per unit of the contour's half-length, the level-0 sum of bh
+            dens = tol / float(bh.sum())
+        done = (diff <= dens * bh) | (diff <= floor)
+        value += complex(kg[done, 0].sum())
+        err += float(diff[done].sum())
         keep = ~done
-        left = float(np.sum(diff[keep]))
+        left = float(diff[keep].sum())
         if not keep.any():
             break  # the rounding floor alone exceeds tol
         m, h = mid[keep], 0.5 * half[keep]
         a, b, arc, half = (np.concatenate([v, v]) for v in (a[keep], b[keep], arc[keep], h))
         mid = np.concatenate([m - h, m + h])
-        bh = np.abs(b * half)
     raise QuadratureError(
         f"contour quadrature did not reach tol={tol} (estimate {err + left:.3e} "
         f"after {n_evals} nodes)"
@@ -459,6 +450,13 @@ def auto_detours(
     between a detoured pole and any other listed pole, capped at 0.35: two
     close poles that the line clears need no small detour elsewhere.
     """
+    detours, cleared = _detours(pole_sides, truncation, imag_shift)
+    return Contour(imag_shift, detours, truncation, cleared=cleared)
+
+
+def _detours(pole_sides: Sequence[tuple[complex, str]], truncation: float,
+             imag_shift: float) -> tuple[tuple[Detour, ...], tuple[complex, ...]]:
+    """``auto_detours``' detours and cleared poles, for a contour built from them."""
     clearance, radius_frac, max_radius = 0.05, 0.25, 0.35
     # dedupe coincident listings; a location demanded on both sides is a pinch
     merged: list[tuple[complex, str]] = []
@@ -482,8 +480,7 @@ def auto_detours(
             dets.append((p, side))
     gaps = [abs(p - q) for p, _ in dets for q, _ in merged if q != p]
     r = min(max_radius, radius_frac * min(gaps, default=4.0 * max_radius))
-    return Contour(imag_shift, tuple(Detour(p, side, r) for p, side in dets), truncation,
-                   cleared=tuple(cleared))
+    return tuple(Detour(p, side, r) for p, side in dets), tuple(cleared)
 
 
 def path_clear_of(

@@ -116,7 +116,7 @@ def _reflected(z: np.ndarray) -> np.ndarray:
     return np.pi / (sin * _gamma_core(1.0 - z))
 
 
-_SCALAR_C = tuple(float(c) for c in _LANCZOS_C)
+_SCALAR_C0, _SCALAR_KC = float(_LANCZOS_C[0]), tuple(enumerate(map(float, _LANCZOS_C[1:]), 1))
 
 
 def _gamma_scalar(z: complex) -> complex:
@@ -132,7 +132,7 @@ def _gamma_scalar(z: complex) -> complex:
         return math.pi / ((sin if n % 2 == 0 else -sin) * _gamma_scalar(1.0 - z))
     x = z - 1.0
     t = x + (_LANCZOS_G + 0.5)
-    lanczos = _SCALAR_C[0] + sum(c / (x + k) for k, c in enumerate(_SCALAR_C[1:], 1))
+    lanczos = _SCALAR_C0 + sum([c / (x + k) for k, c in _SCALAR_KC])
     log_pre = (x + 0.5) * (cmath.log(t) - 1.0) - _LANCZOS_G
     return math.sqrt(2 * math.pi) * cmath.exp(log_pre) * lanczos
 
@@ -144,25 +144,28 @@ def gamma(z) -> np.ndarray | complex:
 
     Raises PoleError when z is numerically a non-positive integer.
     """
-    if np.ndim(z) == 0 and cmath.isfinite(zc := complex(z)):
-        try:
-            return _gamma_scalar(zc)
-        except OverflowError:
-            pass  # the array path's inf or NaN
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    core = zz.real >= 0.5
-    if np.count_nonzero(core) == zz.size:  # all points in one region: no boolean-mask copies
+    zz = np.asarray(z, dtype=complex)
+    if scalar := zz.ndim == 0:
+        if cmath.isfinite(zc := complex(zz)):
+            try:
+                return _gamma_scalar(zc)
+            except OverflowError:
+                pass  # the array path's inf or NaN
+        zz = zz.reshape(1)
+    lo, hi = zz.real.min(initial=np.inf), zz.real.max(initial=-np.inf)
+    if lo >= 0.5:  # all points in one region: no boolean-mask copies
         out = _gamma_core(zz)
-    elif np.count_nonzero(left := zz.real < -0.5) == zz.size:
+    elif hi < -0.5:
         out = _reflected(zz)
-    elif not (core.any() or left.any()):
+    elif lo >= -0.5 and hi < 0.5:
         out = _recurred(zz)
-    else:
+    else:  # more than one region, or a NaN
+        core, left = zz.real >= 0.5, zz.real < -0.5
         out = np.empty_like(zz)
         for mask, region in ((core, _gamma_core), (~(core | left), _recurred), (left, _reflected)):
             if mask.any():
                 out[mask] = region(zz[mask])
-    return complex(out[0]) if np.ndim(z) == 0 else out
+    return complex(out[0]) if scalar else out
 
 
 def gamma_beta_residual(w: complex, u: complex, tol: float = 1e-10) -> float:

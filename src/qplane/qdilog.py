@@ -294,7 +294,7 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
             T = T_half
             if est <= tol:
                 break
-        err = max(err, est)
+        err = float(np.maximum(err, est))  # a NaN estimate stays NaN
         total[sel] = T
     return (total - flat).reshape(z.shape), err
 
@@ -390,6 +390,8 @@ def ruijsenaars_g(z, p: ModularParam, tol: float = 1e-10) -> QDValue:
     zz = np.atleast_1d(np.asarray(z, dtype=complex))
     I, err = _g_line_integral(zz, float(p.b.real), tol)
     G = complex(np.exp(1j * I[0]))
+    if not cmath.isfinite(G):
+        raise DomainError(f"ruijsenaars_g is not finite at {z} (the integral gave {I[0]:.6g})")
     return QDValue(G, "integral", err * abs(G))  # err bounds I, so err |G| bounds G = e^{iI}
 
 

@@ -195,3 +195,34 @@ def test_gamma_on_the_central_strip_against_mpmath():
     for z in (0.0, 1e-14j, np.array([0.3 + 1j, 1e-14j])):
         with pytest.raises(PoleError):
             gamma(z)
+
+
+def test_gamma_dispatch_edge_cases():
+    # what each input form returns: a Python complex for a number or a 0-d array,
+    # an array of the input's shape otherwise, each region on its own points
+    from qplane import gammafn
+
+    z = 0.3 + 0.4j
+    assert type(gamma(z)) is complex and gamma(z) == gammafn._gamma_scalar(z)
+    assert type(gamma(np.array(z))) is complex and gamma(np.array(z)) == gamma(z)
+    # a non-finite 0-d array takes the array path, still returning a Python complex
+    with np.errstate(invalid="ignore"):
+        assert type(gamma(np.array(np.nan))) is complex and np.isnan(gamma(np.array(np.nan)))
+    for shape in ((0,), (0, 3)):
+        empty = gamma(np.zeros(shape))
+        assert type(empty) is np.ndarray and empty.shape == shape and empty.dtype == complex
+    mixed = np.array([[2.5 + 1j, 0.2 - 0.3j], [-2.5 + 0.5j, 1.0]])
+    core, left = mixed.real >= 0.5, mixed.real < -0.5
+    strip = ~(core | left)
+    out = gamma(mixed)
+    assert out.shape == (2, 2) and out.dtype == complex
+    assert np.array_equal(out[core], gammafn._gamma_core(mixed[core]))
+    assert np.array_equal(out[strip], gammafn._recurred(mixed[strip]))
+    assert np.array_equal(out[left], gammafn._reflected(mixed[left]))
+    # a NaN among strip points: the strip's formula on every point
+    with np.errstate(invalid="ignore"):
+        z = np.array([np.nan, 0.2j, -0.3 + 1j])
+        assert np.array_equal(gamma(z), gammafn._recurred(z), equal_nan=True)
+    for pole in (-2.0, np.array(-2.0), np.array([1.5, -2.0])):
+        with pytest.raises(PoleError):
+            gamma(pole)

@@ -143,6 +143,18 @@ def test_ruijsenaars_strip_guard():
         qd.ruijsenaars_g(0.0 + 1.2j, P08)  # |Im z| too close to Q/2
 
 
+def test_nan_line_integral_is_signalled():
+    # at b = 0.2 near the strip edge (rho = 0.156 >= 0.15) sinh(y/b) and e^{2iyz}
+    # both overflow on the nodes, 0 inf = NaN: the estimate keeps the NaN, never 0
+    b = 0.2
+    z = 0.5 + 0.97j * (b + 1 / b) / 2
+    with np.errstate(all="ignore"):
+        vals, err = qd._g_line_integral(np.full(40, z), b, 1e-10)
+        assert np.isnan(vals).all() and np.isnan(err)
+        with pytest.raises(DomainError):
+            qd.ruijsenaars_g(z, from_b(b))
+
+
 def test_gb_midpoint_sign():
     # reflection fixes G_b(Q/2)^2; the integral backend resolves the sign:
     # G_b(Q/2) = e^{-i pi Q^2/8} exactly
