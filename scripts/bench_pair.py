@@ -207,7 +207,8 @@ def draw(side):
                     float(rng.uniform(-0.4, 0.5)), float(rng.uniform(0.2, 1.2))))
     return ops
 ops = {side: draw(side) for side in sides}
-values = {side: [axb[side].intertwiner_forward(*op) for op in ops[side]] for side in sides}  # also the warm-up
+# the values, which also warm both sides up
+values = {side: [axb[side].intertwiner_forward(*op) for op in ops[side]] for side in sides}
 def one_pass(side):
     forward, times = axb[side].intertwiner_forward, []
     for f, lam, t in ops[side]:
@@ -390,7 +391,8 @@ def forward_ab(roots: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for side, root in roots.items():
             shutil.copytree(root / "src/qplane", Path(tmp) / f"qplane_{side}")
-        proc = subprocess.run([sys.executable, "-c", FORWARD_AB_CHILD, str(FORWARD_OPS), str(FORWARD_AB_PAIRS)],
+        proc = subprocess.run([sys.executable, "-c", FORWARD_AB_CHILD, str(FORWARD_OPS),
+                               str(FORWARD_AB_PAIRS)],
                               env={**os.environ, **ENV, "PYTHONPATH": tmp},
                               capture_output=True, text=True, check=True)
     result = {"unit": "s per intertwiner_forward call, median per pass", "pairs": FORWARD_AB_PAIRS,

@@ -69,7 +69,7 @@ class ClassWFunction:
         out = None
         for t in self.terms:
             term = np.exp(-t.a * zz**2 + t.b * zz)
-            # Horner gives a constant P as c: multiply by c, unless 1 (out of place, as before)
+            # Horner gives a constant P as c: multiply by c unless 1, out of place (in place rounds otherwise)
             if len(t.poly) > 1:
                 term = term * _poly_eval(t.poly, zz)
             elif t.poly != (1,):

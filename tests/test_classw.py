@@ -103,7 +103,8 @@ def test_call_keeps_its_bits():
         ClassWFunction(gauss.terms + (WTerm(1.7, 0.2, (0.5, 0.1 - 0.3j)),)),
         fourier_classW(ClassWFunction.gaussian(a=1.1, b=0.2, poly=(1.0, 0.4))),
     ]
-    zs = [0.37 - 0.21j, 1.5, np.array(0.37 - 0.21j),  # a 0-d array: numpy's scalar arithmetic rounds otherwise
+    # a 0-d array too: numpy's scalar arithmetic would round otherwise
+    zs = [0.37 - 0.21j, 1.5, np.array(0.37 - 0.21j),
           *(rng.uniform(-4, 4, n) + 1j * rng.uniform(-1, 1, n) for n in (1, 2, 7, 300, 756)),
           rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-1, 1, (4, 5))]
     for f in fs:
