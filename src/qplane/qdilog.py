@@ -294,7 +294,7 @@ def _g_line_integral(z: np.ndarray, b: float, tol: float) -> tuple[np.ndarray, f
             T = T_half
             if est <= tol:
                 break
-        err = float(np.maximum(err, est))  # a NaN estimate stays NaN
+        err = est if est != est else max(err, est)  # a NaN estimate stays NaN: max drops it
         total[sel] = T
     return (total - flat).reshape(z.shape), err
 
