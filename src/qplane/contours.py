@@ -14,9 +14,9 @@ meets and toward the poles it clears by less than the panel cap
 them bisected at every fixed level.  A segment graded at one end only
 doubles its panels out to the other end; the cap bounds the panels only on
 segments graded at both ends (a pinch) or at neither.
-Every call rebuilds the table, so the build is lean: one construction of the
-contour (``_detours`` gives ``auto_detours``' detours to any builder), one pass
-of ``_pieces`` over the path, and Python floats until the five arrays form.
+Every call rebuilds the table, so the build is lean: one construction per
+contour (``_detours`` serves callers that set more fields than ``auto_detours``),
+one pass of ``_pieces``, and Python floats until the table's five arrays form.
 ``integrate_contour`` is locally adaptive: every level-0 panel carries the
 21-point Gauss-Kronrod rule with its embedded 10-point Gauss rule, a panel
 whose two values agree within its share of ``tol`` is kept, and only the
